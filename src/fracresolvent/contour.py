@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -88,26 +88,21 @@ class ContourSpec:
 class ContourQuadrature:
     """Discretized contour at a fixed time scale.
 
-    nodes lie on the upper ray (arg s = theta, radii strictly
-    increasing); arc_nodes lie on the junction arc of radius r_min/t at
-    angles in (0, theta).  Weights absorb the 1/(2 pi i) prefactor, the
+    nodes holds the upper ray (arg s = theta, radii strictly increasing)
+    followed by the junction arc of radius r_min/t at angles in
+    (0, theta).  Weights absorb the 1/(2 pi i) prefactor, the
     parametrization Jacobians and the counterclockwise orientation, so
-    an inversion is 2 Re(sum w f(s) e^(s t)) over both node sets.
+    an inversion is 2 Re(sum w f(s) e^(s t)).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    arc_nodes: np.ndarray
-    arc_weights: np.ndarray
-    theta: float
-    t_scale: float
-    tol: float
 
     def all_nodes(self) -> np.ndarray:
-        return np.concatenate([self.nodes, self.arc_nodes])
+        return self.nodes
 
     def all_weights(self) -> np.ndarray:
-        return np.concatenate([self.weights, self.arc_weights])
+        return self.weights
 
 
 @lru_cache(maxsize=64)
@@ -213,45 +208,45 @@ def build_quadrature(spec: ContourSpec, t: float, tol: float) -> ContourQuadratu
     )
     rho = np.exp(u)
     eitheta = cmath.exp(1j * spec.theta)
-    nodes = (rho / t) * eitheta
+    ray = (rho / t) * eitheta
     # outgoing upper ray carries +1/(2 pi i) = -i/(2 pi); dr = rho du / t
-    weights = (-0.5j / math.pi) * du * (rho / t) * eitheta
+    ray_w = (-0.5j / math.pi) * du * (rho / t) * eitheta
     # junction arc, counterclockwise from the lower ray to the upper ray;
     # ds = i s d(phi), and i/(2 pi i) = 1/(2 pi)
     n_arc = max(12, min(32, q))
     ax, aw = _gauss_legendre(n_arc)
     phi = 0.5 * spec.theta * (ax + 1.0)
     dphi = 0.5 * spec.theta * aw
-    arc_nodes = (spec.r_min / t) * np.exp(1j * phi)
-    arc_weights = dphi * arc_nodes / (2.0 * math.pi)
+    arc = (spec.r_min / t) * np.exp(1j * phi)
+    arc_w = dphi * arc / (2.0 * math.pi)
     return ContourQuadrature(
-        nodes=nodes,
-        weights=weights,
-        arc_nodes=arc_nodes,
-        arc_weights=arc_weights,
-        theta=spec.theta,
-        t_scale=t,
-        tol=tol,
+        nodes=np.concatenate([ray, arc]), weights=np.concatenate([ray_w, arc_w])
     )
 
 
 def _eval_on_nodes(f: Callable, s: np.ndarray) -> np.ndarray:
     try:
         vals = np.asarray(f(s), dtype=np.complex128)
-        if vals.shape != s.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.asarray([complex(f(sj)) for sj in s], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(
+            "integrand failed on the node array of shape %r: %s" % (s.shape, exc)
+        ) from exc
+    if vals.shape != s.shape:
+        raise EvaluationError(
+            "integrand returned shape %r on the node array of shape %r"
+            % (vals.shape, s.shape)
+        )
+    return vals
 
 
 def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
     """Evaluate the inversion integral of f at time t on a built contour.
 
-    Accuracy is engineered for t equal to the quadrature's time scale;
-    other positive t are permitted for diagnostics.  The result of the
-    full two-ray-plus-arc integral is real for conjugate-symmetric f and
-    is returned as a float.
+    f is called once, on the whole node array, and must return an array
+    of the same shape.  Accuracy is engineered for t equal to the
+    quadrature's time scale; other positive t are permitted for
+    diagnostics.  The result of the full two-ray-plus-arc integral is
+    real for conjugate-symmetric f and is returned as a float.
     """
     if t <= 0.0:
         raise ConfigurationError("evaluation time must be positive, got %r" % t)

@@ -33,12 +33,12 @@ from fracresolvent.contour import (
 from fracresolvent.errors import (
     ConfigurationError,
     EvaluationError,
+    NumericalError,
     RefinementNeededError,
 )
 from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel
 from fracresolvent.operators import DiscreteOperator, resolve
 from fracresolvent.tridiag import EIGENVALUE_CLAMP
-from fracresolvent.errors import NumericalError
 
 # below this fraction of t, the convolution factor V(t - tau) is the identity
 SMALL_ARGUMENT_FRACTION = 1e-8
@@ -135,10 +135,16 @@ def scalar_mode_values(
 
 
 def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
+    """Eigenvalues of A for its fractional powers, roundoff negatives set to 0.
+
+    Every A^gamma goes through here: apply_spectral(lam**gamma, x).
+    Eigenvalues below EIGENVALUE_CLAMP mean the pencil is not positive
+    semidefinite and are refused.
+    """
     lam = op.eigensystem().eigenvalues
     if float(lam.min(initial=0.0)) < EIGENVALUE_CLAMP:
         raise NumericalError(
-            "eigenvalue %g below the clamp threshold %g"
+            "eigenvalue %g below the clamp threshold %g: operator is not PSD"
             % (float(lam.min()), EIGENVALUE_CLAMP)
         )
     return np.maximum(lam, 0.0)
@@ -158,11 +164,7 @@ def resolvent_apply(
     the refined value is returned.
     """
     check_pairing(op, cfg)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ConfigurationError(
-            "vector shape %r does not match operator size %d" % (x.shape, op.n)
-        )
+    x = op.check_vector(np.asarray(x, dtype=np.float64))
     u = _resolvent_apply_once(op, cfg.kernel, cfg.contour, cfg.tol, t, x)
     if not verify:
         return u
@@ -180,8 +182,6 @@ def resolvent_apply(
 
 
 def _resolvent_apply_once(op, kernel, contour_spec, tol, t, x) -> np.ndarray:
-    if t <= 0.0:
-        raise ConfigurationError("evolution time must be positive, got %r" % t)
     quad = build_quadrature(contour_spec, t, tol)
     s = quad.all_nodes()
     w = quad.all_weights()
@@ -212,19 +212,13 @@ def smoothed_apply(
     check_pairing(op, cfg)
     if cfg.gamma == 0.0:
         return resolvent_apply(op, cfg, t, x)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ConfigurationError(
-            "vector shape %r does not match operator size %d" % (x.shape, op.n)
-        )
+    x = op.check_vector(np.asarray(x, dtype=np.float64))
     lam = _clamped_spectrum(op)
     if method == "solve":
         u = resolvent_apply(op, cfg, t, x)
         return op.apply_spectral(lam**cfg.gamma, u)
     if method != "spectral":
         raise ConfigurationError("method must be 'spectral' or 'solve', got %r" % method)
-    if t <= 0.0:
-        raise ConfigurationError("evolution time must be positive, got %r" % t)
     quad = build_quadrature(cfg.contour, t, cfg.tol)
     values = lam**cfg.gamma * scalar_mode_values(quad, cfg.kernel, lam, t)
     return op.apply_spectral(values, x)
@@ -253,20 +247,16 @@ def mild_solution(
     check_pairing(op, cfg)
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
-    if cfg.u0.shape != (op.n,):
-        raise ConfigurationError(
-            "u0 shape %r does not match operator size %d" % (cfg.u0.shape, op.n)
-        )
+    op.check_vector(cfg.u0)
     if int(n_sub) != n_sub or n_sub < 2:
         raise ConfigurationError("n_sub must be an integer >= 2, got %r" % n_sub)
     n_sub = int(n_sub)
     states = np.zeros((len(cfg.times), op.n))
     norms = np.zeros(len(cfg.times))
-    counts = np.zeros(len(cfg.times), dtype=np.int64)
+    # the node count depends on the contour spec, not on t
+    n_nodes = build_quadrature(cfg.contour, float(cfg.times[0]), cfg.tol).all_nodes().size
     for it, t in enumerate(cfg.times):
         u = resolvent_apply(op, cfg, float(t), cfg.u0)
-        quad = build_quadrature(cfg.contour, float(t), cfg.tol)
-        counts[it] = quad.all_nodes().size
         if cfg.forcing is not None:
             h = float(t) / n_sub
             acc = np.zeros(op.n)
@@ -297,7 +287,7 @@ def mild_solution(
         times=np.asarray(cfg.times, dtype=np.float64),
         states=states,
         smoothed_norms=norms,
-        node_counts=counts,
+        node_counts=np.full(len(cfg.times), n_nodes, dtype=np.int64),
     )
 
 
@@ -327,11 +317,7 @@ def laplace_check(
         x = cfg.u0
     if x is None:
         raise ConfigurationError("laplace_check needs a vector: pass x or set u0")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ConfigurationError(
-            "vector shape %r does not match operator size %d" % (x.shape, op.n)
-        )
+    x = op.check_vector(np.asarray(x, dtype=np.float64))
     t_max = LAPLACE_TAIL_FACTOR / lam
     coarse = _transform_integral(op, cfg, lam, x, t_max, points_per_decade)
     fine = _transform_integral(op, cfg, lam, x, t_max, 2 * points_per_decade)
@@ -355,14 +341,11 @@ def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray
     n = max(int(math.ceil(decades * points_per_decade)), 8) + 1
     ts = np.logspace(math.log10(LAPLACE_T_MIN), math.log10(t_max), n)
     spectrum = _clamped_spectrum(op)
-    d = op.sqrt_mass
-    eig = op.eigensystem()
-    coeff = eig.eigenvectors.T @ (d * x)
     vals = np.empty((n, op.n))
     for i, t in enumerate(ts):
         quad = build_quadrature(cfg.contour, float(t), cfg.tol)
         v = scalar_mode_values(quad, cfg.kernel, spectrum, float(t))
-        vals[i] = (eig.eigenvectors @ (v * coeff)) / d
+        vals[i] = op.apply_spectral(v, x)
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
     acc = trapezoid(integrand, x=np.log(ts), axis=0)
     acc += vals[0] * LAPLACE_T_MIN * math.exp(-lam * LAPLACE_T_MIN)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracresolvent.contour import DEFAULT_THETA, ContourSpec, default_contour_spec
+from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
 from fracresolvent.errors import ConfigurationError, OutputError
 from fracresolvent.evolution import EvolutionConfig, smoothed_apply
 from fracresolvent.kernels import (
@@ -27,7 +27,6 @@ from fracresolvent.kernels import (
 )
 from fracresolvent.operators import (
     BESSEL,
-    DIAGONAL,
     KIMURA,
     DiscreteOperator,
     assemble_bessel,
@@ -45,8 +44,8 @@ class ExperimentConfig:
     mode: str = "smoothing"
     operator_kind: str = KIMURA
     n: int = 1000
-    nu: float | None = None
-    r_max: float | None = None
+    nu: float = 0.25
+    r_max: float = 20.0
     kernel_kind: str = ABC
     alpha: float = 0.5
     beta: float = 1.0
@@ -118,10 +117,11 @@ class DecayTable:
 # --- config parsing ---------------------------------------------------------
 
 def _parse_operator_kind(v):
-    if v not in (KIMURA, BESSEL, DIAGONAL):
-        raise ConfigurationError("operator.kind must be kimura or bessel, got %r" % v)
-    if v == DIAGONAL:
-        raise ConfigurationError("diagonal operators are built in code, not from configs")
+    if v not in (KIMURA, BESSEL):
+        raise ConfigurationError(
+            "operator.kind must be kimura or bessel (diagonal operators are "
+            "built in code, not from configs), got %r" % v
+        )
     return v
 
 
@@ -129,10 +129,6 @@ def _parse_kernel_kind(v):
     if v not in (ABC, W, CAPUTO_PROBE):
         raise ConfigurationError("kernel.kind must be abc or w, got %r" % v)
     return v
-
-
-def _parse_u0(v):
-    return v  # named profile or file path; resolved at build time
 
 
 _KEY_TABLE = {
@@ -152,7 +148,7 @@ _KEY_TABLE = {
     "run.t_min": ("t_min", float),
     "run.t_max": ("t_max", float),
     "run.t_count": ("t_count", int),
-    "run.u0": ("u0_spec", _parse_u0),
+    "run.u0": ("u0_spec", str),
     "run.bump_center": ("bump_center", float),
     "run.bump_width": ("bump_width", float),
     "run.lambda": ("lam", float),
@@ -200,18 +196,15 @@ def load_config(path) -> ExperimentConfig:
 def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     if cfg.operator_kind == KIMURA:
         return assemble_kimura(cfg.n)
-    nu = 0.25 if cfg.nu is None else cfg.nu
-    r_max = 20.0 if cfg.r_max is None else cfg.r_max
-    return assemble_bessel(nu=nu, r_max=r_max, n=cfg.n)
+    return assemble_bessel(nu=cfg.nu, r_max=cfg.r_max, n=cfg.n)
 
 
 def _mesh_coordinate(cfg: ExperimentConfig, op: DiscreteOperator) -> tuple[np.ndarray, float]:
     if cfg.operator_kind == KIMURA:
         h = 1.0 / (op.n + 1)
         return np.arange(1, op.n + 1) * h, 1.0
-    r_max = 20.0 if cfg.r_max is None else cfg.r_max
-    h = r_max / cfg.n
-    return np.arange(0, op.n) * h, r_max  # node 0 sits at r = 0 (natural condition)
+    h = cfg.r_max / cfg.n
+    return np.arange(0, op.n) * h, cfg.r_max  # node 0 sits at r = 0 (natural condition)
 
 
 def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
@@ -238,20 +231,23 @@ def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarr
         raise ConfigurationError(
             "initial state file has shape %r, operator needs (%d,)" % (data.shape, op.n)
         )
+    bad = ~np.isfinite(data)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConfigurationError(
+            "initial state file %s has non-finite value %r at index %d"
+            % (cfg.u0_spec, float(data[i]), i)
+        )
     return data
 
 
 def build_evolution_config(cfg: ExperimentConfig, u0: np.ndarray) -> EvolutionConfig:
     kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
-    base = default_contour_spec(alpha=cfg.alpha, tol=cfg.tol, n_nodes=cfg.n_nodes)
-    if cfg.theta == DEFAULT_THETA:
-        contour = base
-    else:
-        # keep Re(s_max * t) at the same damping level on the new ray
-        contour = ContourSpec(
-            theta=cfg.theta, n_nodes=cfg.n_nodes, r_min=base.r_min,
-            r_max=base.r_max * (-math.cos(base.theta)) / (-math.cos(cfg.theta)),
-        )
+    # the default angle is pushed out when alpha needs a wider contour
+    contour = default_contour_spec(
+        alpha=cfg.alpha, tol=cfg.tol, n_nodes=cfg.n_nodes,
+        theta=None if cfg.theta == DEFAULT_THETA else cfg.theta,
+    )
     times = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
     return EvolutionConfig(
         kernel=kernel, contour=contour, gamma=cfg.gamma, times=times, u0=u0, tol=cfg.tol

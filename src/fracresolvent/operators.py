@@ -75,6 +75,14 @@ class DiscreteOperator:
             self._eig = eigh_tridiagonal(sym)
         return self._eig
 
+    def check_vector(self, x: np.ndarray) -> np.ndarray:
+        """Return x unchanged, or refuse it unless it has shape (n,)."""
+        if x.shape != (self.n,):
+            raise ConfigurationError(
+                "vector shape %r does not match operator size %d" % (x.shape, self.n)
+            )
+        return x
+
     def weighted_norm(self, x) -> float:
         """M-weighted norm, the discrete analogue of the weighted L2 norm."""
         x = np.asarray(x)
@@ -237,11 +245,7 @@ def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
     so the eigenvalue distance check is skipped elsewhere.
     """
     z = complex(z)
-    b = np.asarray(b)
-    if b.shape != (op.n,):
-        raise ConfigurationError(
-            "vector length %r does not match operator size %d" % (b.shape, op.n)
-        )
+    b = op.check_vector(np.asarray(b))
     axis_dist = abs(z.imag) if z.real >= 0.0 else abs(z)
     if axis_dist <= _AXIS_GUARD:
         lam = op.eigensystem().eigenvalues
@@ -279,7 +283,8 @@ def sectoriality_check(
     exactly, so the estimate is a pure spectral-distance computation.
     Sampled z = rho e^{i theta'} with theta' in [theta, pi] and rho >= 1;
     the conjugate ray gives identical distances to the real spectrum and
-    is not re-sampled.  The geometric bound is 1/sin(pi - theta).
+    is not re-sampled.  The geometric bound is 1/sin(pi - theta);
+    passed says the estimate is finite and at or below it.
     """
     if not math.pi / 2.0 < theta < math.pi:
         raise ConfigurationError("theta must lie in (pi/2, pi), got %r" % theta)
@@ -305,6 +310,6 @@ def sectoriality_check(
         m_theta_hat=m_hat,
         theta=theta,
         bound=bound,
-        passed=bool(np.isfinite(m_hat)),
+        passed=bool(np.isfinite(m_hat) and m_hat <= bound),
         worst_z=worst,
     )

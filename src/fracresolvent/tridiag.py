@@ -1,5 +1,4 @@
-"""Tridiagonal linear algebra: solves, symmetric eigendecompositions, and
-spectral fractional powers.
+"""Tridiagonal linear algebra: solves and symmetric eigendecompositions.
 
 All contour evaluations reduce to shifted tridiagonal solves (zM - S) or,
 on the spectral path, to scalar functions of the symmetrized eigenvalues,
@@ -171,27 +170,3 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
-
-def frac_power_apply(eig: EigenDecomposition, gamma: float, x: np.ndarray) -> np.ndarray:
-    """Apply the spectral fractional power A^gamma to a coefficient vector.
-
-    Eigenvalues more negative than -1e-10 are rejected; tiny negative
-    values (assembly roundoff) clamp to zero, with 0^gamma := 0 for
-    gamma > 0 and 0^0 := 1.
-    """
-    if not 0.0 <= gamma:
-        raise ValueError("gamma must be nonnegative, got %r" % gamma)
-    x = np.asarray(x)
-    if x.shape != (eig.n,):
-        raise ValueError("vector length %s does not match order %d" % (x.shape, eig.n))
-    if gamma == 0.0:
-        return x.copy()
-    lam = eig.eigenvalues
-    if np.min(lam) < EIGENVALUE_CLAMP:
-        raise NumericalError(
-            "negative eigenvalue %.3e below clamp %.1e: operator is not PSD"
-            % (float(np.min(lam)), EIGENVALUE_CLAMP)
-        )
-    lam = np.where(lam < 0.0, 0.0, lam)
-    coeff = eig.eigenvectors.T @ x
-    return eig.eigenvectors @ (lam**gamma * coeff)

@@ -115,3 +115,22 @@ def test_check_admissible_stdout(capsys):
     out = capsys.readouterr().out
     assert "admissible" in out
     assert "c0_hat=" in out and "cinf_hat=" in out and "small_s_exponent=" in out
+
+
+@pytest.mark.parametrize("gamma", ("0.5", "0"))
+def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gamma):
+    """A NaN in a run.u0 file is refused before the sweep, on both routes."""
+    monkeypatch.chdir(tmp_path)
+    values = ["%.3f" % (i / 50.0) for i in range(50)]
+    values[7] = "nan"
+    u0 = tmp_path / "u0.txt"
+    u0.write_text("\n".join(values) + "\n")
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "operator.kind = kimura\noperator.n = 50\nrun.gamma = %s\nrun.u0 = %s\n"
+        % (gamma, u0)
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(u0) in err and "index 7" in err
+    assert not (tmp_path / "out.csv").exists()

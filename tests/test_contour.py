@@ -64,8 +64,8 @@ def test_node_doubling_consistency():
 def test_nodes_scale_inversely_with_time():
     qa = build_quadrature(POWER_SPEC, 1.0, 1e-8)
     qb = build_quadrature(POWER_SPEC, 2.0, 1e-8)
-    assert np.allclose(qb.nodes, qa.nodes / 2.0, rtol=1e-15)
-    assert np.allclose(qb.arc_nodes, qa.arc_nodes / 2.0, rtol=1e-15)
+    # the node array holds the ray and the junction arc
+    assert np.allclose(qb.all_nodes(), qa.all_nodes() / 2.0, rtol=1e-15)
 
 
 def test_resolution_gate_raises_with_suggestion():
@@ -87,6 +87,22 @@ def test_non_finite_integrand_reported():
     with pytest.raises(EvaluationError) as info:
         invert_scalar(quad, bad, 1.0)
     assert info.value.index is not None
+
+
+def test_scalar_only_integrand_rejected():
+    """The integrand is called once on the node array, never node by node."""
+    quad = build_quadrature(POWER_SPEC, 1.0, 1e-8)
+    calls = []
+
+    def scalar_only(s):
+        calls.append(s)
+        return complex(1.0 / s)
+
+    with pytest.raises(EvaluationError, match="shape"):
+        invert_scalar(quad, scalar_only, 1.0)
+    assert len(calls) == 1
+    with pytest.raises(EvaluationError, match=r"returned shape \(\)"):
+        invert_scalar(quad, lambda s: 1.0, 1.0)
 
 
 def test_spec_validation():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
+from fracresolvent.contour import DEFAULT_THETA, default_contour_spec, min_theta
 from fracresolvent.errors import ConfigurationError, OutputError
+from fracresolvent.evolution import check_pairing
 from fracresolvent.experiments import (
     ANCHOR_SAFETY,
     CSV_HEADER,
@@ -23,6 +24,7 @@ from fracresolvent.experiments import (
     run_experiment,
     smoothing_sweep,
 )
+from fracresolvent.operators import assemble_kimura
 from fracresolvent.svg import render_decay_svg
 
 SWEEP_TEXT = """
@@ -181,6 +183,14 @@ def test_build_evolution_config_theta_rescale():
     assert math.isclose(evo.times[0], cfg.t_min, rel_tol=1e-12)
     assert math.isclose(evo.times[-1], cfg.t_max, rel_tol=1e-12)
     assert evo.u0 is u0
+
+
+def test_build_evolution_config_widens_default_theta():
+    """At the default angle a large alpha still gets the wider contour it needs."""
+    evo = build_evolution_config(ExperimentConfig(alpha=0.85), np.ones(4))
+    assert evo.contour.theta == pytest.approx(min_theta(0.85), rel=1e-12)
+    assert evo.contour.theta > DEFAULT_THETA
+    check_pairing(assemble_kimura(4), evo)
 
 
 # --- decay tables -------------------------------------------------------------

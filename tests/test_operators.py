@@ -7,12 +7,14 @@ import pytest
 
 from fracresolvent.errors import ConfigurationError, SingularMatrixError
 from fracresolvent.operators import (
+    DiscreteOperator,
     assemble_bessel,
     assemble_kimura,
     make_diagonal,
     resolve,
     sectoriality_check,
 )
+from fracresolvent.tridiag import TridiagonalMatrix
 
 
 def test_kimura_single_node_analytic():
@@ -183,3 +185,13 @@ def test_sectoriality_narrower_angle():
     assert report.m_theta_hat <= report.bound + 1e-9
     with pytest.raises(ConfigurationError):
         sectoriality_check(op, math.pi / 4.0)
+
+
+def test_sectoriality_fails_above_bound():
+    """A negative eigenvalue pushes the resolvent growth past the sector bound."""
+    stiff = TridiagonalMatrix(sub=np.zeros(0), diag=np.array([-0.5]), sup=np.zeros(0))
+    op = DiscreteOperator(kind="negative", stiffness=stiff, lumped_mass=np.ones(1))
+    report = sectoriality_check(op, 3.0 * math.pi / 4.0)
+    assert report.m_theta_hat == pytest.approx(2.0, rel=1e-12)
+    assert report.bound == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert not report.passed
