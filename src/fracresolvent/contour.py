@@ -39,21 +39,13 @@ N_PANELS = 4
 
 @dataclass
 class SectorSpec:
-    """Sector around the positive real axis containing the spectrum.
-
-    Outside the sector (and outside radius R) the resolvent norm is
-    bounded by M/|z|.
-    """
+    """Sector around the positive real axis containing the spectrum."""
 
     theta_A: float = DEFAULT_THETA_A
-    M: float = 2.0
-    R: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.theta_A < math.pi / 2.0:
             raise ConfigurationError("theta_A must lie in (0, pi/2), got %r" % self.theta_A)
-        if self.M <= 0.0 or self.R <= 0.0:
-            raise ConfigurationError("sector constants M, R must be positive")
 
 
 @dataclass

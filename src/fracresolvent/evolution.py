@@ -199,26 +199,20 @@ def smoothed_apply(
     cfg: EvolutionConfig,
     t: float,
     x,
-    method: str = "spectral",
 ) -> np.ndarray:
     """A^gamma V(t) x.
 
-    The spectral route evaluates lambda^gamma v(lambda, t) on the pencil
-    eigenvalues and assembles through the mass-symmetrized eigenbasis;
-    one decomposition is shared across all times.  The solve route
-    (cross-validation) applies the fractional power after the node-wise
-    resolvent integral.
+    The route follows gamma: gamma == 0 goes through one shifted solve
+    per contour node (resolvent_apply) and needs no eigendecomposition;
+    gamma > 0 evaluates lambda^gamma v(lambda, t) on the pencil
+    eigenvalues and assembles through the mass-symmetrized eigenbasis,
+    one decomposition shared across all times.
     """
     check_pairing(op, cfg)
     if cfg.gamma == 0.0:
         return resolvent_apply(op, cfg, t, x)
     x = op.check_vector(np.asarray(x, dtype=np.float64))
     lam = _clamped_spectrum(op)
-    if method == "solve":
-        u = resolvent_apply(op, cfg, t, x)
-        return op.apply_spectral(lam**cfg.gamma, u)
-    if method != "spectral":
-        raise ConfigurationError("method must be 'spectral' or 'solve', got %r" % method)
     quad = build_quadrature(cfg.contour, t, cfg.tol)
     values = lam**cfg.gamma * scalar_mode_values(quad, cfg.kernel, lam, t)
     return op.apply_spectral(values, x)
@@ -341,12 +335,12 @@ def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray
     n = max(int(math.ceil(decades * points_per_decade)), 8) + 1
     ts = np.logspace(math.log10(LAPLACE_T_MIN), math.log10(t_max), n)
     spectrum = _clamped_spectrum(op)
+    # apply_spectral is linear in its values: integrate the mode values, apply once
     vals = np.empty((n, op.n))
     for i, t in enumerate(ts):
         quad = build_quadrature(cfg.contour, float(t), cfg.tol)
-        v = scalar_mode_values(quad, cfg.kernel, spectrum, float(t))
-        vals[i] = op.apply_spectral(v, x)
+        vals[i] = scalar_mode_values(quad, cfg.kernel, spectrum, float(t))
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
     acc = trapezoid(integrand, x=np.log(ts), axis=0)
     acc += vals[0] * LAPLACE_T_MIN * math.exp(-lam * LAPLACE_T_MIN)
-    return acc
+    return op.apply_spectral(acc, x)

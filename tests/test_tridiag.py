@@ -53,8 +53,21 @@ def test_solve_matches_dense_oracle():
 
 def test_solve_singular_pivot():
     m = TridiagonalMatrix(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError) as info:
         solve_tridiagonal(m, np.array([1.0]))
+    assert info.value.index == 0
+    # [[1, 1], [1, 1]]: the zero pivot appears only at the second row
+    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.ones(2), sup=np.array([1.0]))
+    with pytest.raises(SingularMatrixError) as info:
+        solve_tridiagonal(m, np.array([1.0, 2.0]))
+    assert info.value.index == 1
+
+
+def test_solve_zero_diagonal_needs_pivoting():
+    """[[0, 1], [1, 0]] is nonsingular; only a row swap gets past its zero diagonal."""
+    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.zeros(2), sup=np.array([1.0]))
+    x = solve_tridiagonal(m, np.array([1.0, 2.0]))
+    assert np.allclose(x, [2.0, 1.0], rtol=0, atol=1e-14)
 
 
 def test_eigh_already_diagonal():
