@@ -1,14 +1,14 @@
-"""Left-sectorial contour quadrature for Laplace inversion.
+"""Hyperbolic contour quadrature for Laplace inversion.
 
-The contour consists of two rays at angles +/-theta (pi/2 < theta < pi)
-joined by a small circular junction arc of radius r_min around the
-origin, traversed counterclockwise (incoming lower ray, arc, outgoing
-upper ray).  The orientation is fixed by the unit-step oracle: applied
-to F(s) = 1/s the quadrature must return 1, not -1.  The junction arc is
-not optional: for integrands with a power singularity at the origin
-(the known-transform family s^(-beta-1)) the two rays alone diverge and
-only the ray+arc combination reproduces the transform pairs; for
-integrands that vanish at the origin the arc contributes O(r_min).
+The contour is the hyperbola s(u) = mu (1 + sin(i u - phi)) / t, u real,
+phi = theta - pi/2 (Weideman & Trefethen 2007, Math. Comp. 76;
+Lopez-Fernandez & Palencia 2004, Appl. Numer. Math. 51).  Its asymptotes
+are the rays at +/-theta, so the redirection gate on theta judges the
+contour that is built.  It crosses the positive axis at mu (1 - sin phi) / t
+and runs upwards, so F(s) = 1/s inverts to +1.  The midpoint rule
+u_k = (k + 1/2) h takes the smallest node count whose a-priori error bound
+meets the tolerance, with mu and h in closed form from that bound; nothing
+is fitted or searched.
 
 Conjugate symmetry is exploited throughout: only upper-half nodes are
 stored and results are assembled as 2 Re(sum w_j e^(s_j t) f(s_j)).
@@ -16,10 +16,9 @@ stored and results are assembled as 2 Re(sum w_j e^(s_j t) f(s_j)).
 
 from __future__ import annotations
 
-import cmath
 import math
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,8 +32,14 @@ from fracresolvent.errors import (
 
 DEFAULT_THETA = 3.0 * math.pi / 4.0
 DEFAULT_THETA_A = math.pi / 8.0
-RMIN_FLOOR = 1e-14
-N_PANELS = 4
+DEFAULT_R_MIN = 1e-14
+DEFAULT_R_MAX = 55.0
+# share of the analytic half-width min(phi, pi/2 - phi) used as the strip
+# half-width d; at the full width the strip edge touches the branch cut
+STRIP_FRACTION = 0.8
+# share of the strip exponent 2 pi d / h that the growth of e^(s t) on the
+# strip may use up (the theta of Weideman & Trefethen); the rest is the rate
+GROWTH_SHARE = 0.35
 
 
 @dataclass
@@ -50,16 +55,19 @@ class SectorSpec:
 
 @dataclass
 class ContourSpec:
-    """Geometry and resolution of the inversion contour.
+    """Angle and node budget of the inversion contour.
 
-    r_min and r_max are radial truncations in the unscaled s-plane at
-    time scale 1; build_quadrature divides them by t.
+    theta is the asymptote angle of the hyperbola.  n_nodes is a budget:
+    build_quadrature refuses a tolerance whose rule needs more nodes
+    (both halves counted).  r_min and r_max no longer shape the contour;
+    they are still validated, and a value other than the default draws
+    a DeprecationWarning.
     """
 
     theta: float = DEFAULT_THETA
     n_nodes: int = 128
-    r_min: float = 1e-14
-    r_max: float = 55.0
+    r_min: float = DEFAULT_R_MIN
+    r_max: float = DEFAULT_R_MAX
 
     def __post_init__(self):
         if not math.pi / 2.0 < self.theta < math.pi:
@@ -74,17 +82,19 @@ class ContourSpec:
                 "radial truncations must satisfy 0 < r_min < 1 < r_max, got %r, %r"
                 % (self.r_min, self.r_max)
             )
+        if (self.r_min, self.r_max) != (DEFAULT_R_MIN, DEFAULT_R_MAX):
+            warnings.warn("ContourSpec.r_min and r_max no longer shape the contour",
+                          DeprecationWarning, stacklevel=3)
 
 
 @dataclass
 class ContourQuadrature:
     """Discretized contour at a fixed time scale.
 
-    nodes holds the upper ray (arg s = theta, radii strictly increasing)
-    followed by the junction arc of radius r_min/t at angles in
-    (0, theta).  Weights absorb the 1/(2 pi i) prefactor, the
-    parametrization Jacobians and the counterclockwise orientation, so
-    an inversion is 2 Re(sum w f(s) e^(s t)).
+    nodes holds the upper half of the hyperbola, outwards from its vertex
+    on the positive real axis.  Weights absorb the 1/(2 pi i) prefactor,
+    the step and the parametrization Jacobian, so an inversion is
+    2 Re(sum w f(s) e^(s t)).
     """
 
     nodes: np.ndarray
@@ -97,12 +107,6 @@ class ContourQuadrature:
         return self.weights
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
-    return x, w
-
-
 def min_theta(alpha: float, theta_A: float = DEFAULT_THETA_A) -> float:
     """Smallest contour angle compatible with the redirection condition."""
     if not 0.0 < alpha < 1.0:
@@ -113,8 +117,8 @@ def min_theta(alpha: float, theta_A: float = DEFAULT_THETA_A) -> float:
 def angle_condition(alpha: float, theta: float, theta_A: float) -> bool:
     """Redirection predicate: (1 - alpha) * theta >= theta_A.
 
-    When it holds, the image of the contour under s -> s^(alpha-1) stays
-    at least theta_A away in angle from the positive real axis.
+    When it holds, the images of the asymptotes (rays at +/-theta) under
+    s -> s^(alpha-1) lie at least theta_A off the positive real axis.
     """
     return (1.0 - alpha) * theta >= theta_A
 
@@ -126,94 +130,86 @@ def default_contour_spec(
     theta: float | None = None,
     theta_A: float = DEFAULT_THETA_A,
 ) -> ContourSpec:
-    """Contour spec with truncation radii derived from alpha and tol.
+    """Contour spec for kernel order alpha.
 
     theta defaults to 3 pi / 4, pushed out when the redirection condition
-    demands more; r_max makes the e^(cos(theta) rho) envelope tail fall
-    below tol, r_min follows tol^(1/(1-alpha)) with a 1e-14 floor.
+    demands more.  tol is validated but no longer shapes the spec: the
+    tolerance of a run is passed to build_quadrature, which sizes the rule.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
     if theta is None:
-        theta = DEFAULT_THETA
-        forced = min_theta(alpha, theta_A)
-        if forced > theta:
-            theta = forced
+        theta = max(DEFAULT_THETA, min_theta(alpha, theta_A))
         if theta >= math.pi:
             raise ConfigurationError(
                 "no contour angle below pi satisfies (1-alpha)*theta >= theta_A "
                 "for alpha=%g, theta_A=%g" % (alpha, theta_A)
             )
-    c = -math.cos(theta)
-    r_max = (math.log(1.0 / tol) + 20.0) / c
-    r_min = max(tol ** (1.0 / (1.0 - alpha)), RMIN_FLOOR)
-    return ContourSpec(theta=theta, n_nodes=n_nodes, r_min=r_min, r_max=r_max)
+    return ContourSpec(theta=theta, n_nodes=n_nodes)
 
 
-def _suggested_per_panel(spec: ContourSpec, tol: float) -> int:
-    """Calibrated lower bound on Gauss points per panel.
+def _hyperbola_rule(phi: float, psi: float, tol: float) -> tuple[int, float, float, float]:
+    """(M, mu, h, roundoff bound) of the midpoint rule at t = 1, psi = pi/2 - phi.
 
-    Fitted on the known-transform family s^(-beta-1), beta in (0,1), and
-    on kernel-resolvent integrands: the log-radial panel length and the
-    total oscillation phase r_max*sin(theta) set the resolution floor,
-    the tolerance adds digits.
+    Bounds for a unit-size integrand (Weideman & Trefethen 2007, sec. 3):
+    discretisation on the strip |Im u| <= d, e^(mu c - 2 pi d / h) with
+    c = 1 - sin(phi - d); truncation at u = a = M h, e^(mu (1 - sin phi cosh a));
+    roundoff, eps e^(mu (1 - sin phi)).  mu spends GROWTH_SHARE of the
+    exponent 2 pi d / h, and a makes the truncation equal the discretisation
+    error, so both fall like e^(-rate M) and M is the smallest count that
+    takes each to tol / 3.  Written in psi so that theta near pi keeps its
+    digits.
     """
-    ell = math.log(spec.r_max / spec.r_min) / N_PANELS
-    phase = spec.r_max * math.sin(spec.theta)
-    digits = -math.log10(tol)
-    need = 2.32 * ell + 1.75 * digits + 0.2 * phase - 10.7
-    return max(6, int(math.ceil(need - 1e-9)))
+    d = STRIP_FRACTION * min(phi, psi)
+    c = 2.0 * math.sin((psi + d) / 2.0) ** 2
+    c0 = 2.0 * math.sin(psi / 2.0) ** 2
+    g = GROWTH_SHARE
+    x = ((1.0 - g) / g * c + c0) / math.sin(phi)  # cosh(a) - 1
+    a = math.log1p(x + math.sqrt(x * (2.0 + x)))
+    rate = (1.0 - g) * 2.0 * math.pi * d / a
+    m = math.ceil(math.log(3.0 / tol) / rate)
+    mu = g * 2.0 * math.pi * d * m / (a * c)
+    return m, mu, a / m, np.finfo(float).eps * math.exp(mu * c0)
 
 
 def build_quadrature(spec: ContourSpec, t: float, tol: float) -> ContourQuadrature:
-    """Discretize the contour at time scale t.
+    """Discretize the hyperbola at time scale t for tolerance tol.
 
-    Composite Gauss-Legendre in log-radius over 4 panels on each ray
-    (folded to the upper ray by conjugate symmetry) plus Gauss-Legendre
-    in angle on the junction arc.  The substitution r = rho/t keeps the
-    exponential factor e^(s t) = e^(rho e^(i theta)) uniform in t, so
-    node radii scale exactly like 1/t.
+    The midpoint rule takes the smallest node count M whose error bound
+    is at most tol; 2 M nodes (both halves) must fit in spec.n_nodes, or
+    RefinementNeededError names the count that would.  A tol that the
+    rule's roundoff alone exceeds is below its floor.
     """
     if t <= 0.0:
         raise ConfigurationError("time scale must be positive, got %r" % t)
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
-    q = spec.n_nodes // N_PANELS
-    q_req = _suggested_per_panel(spec, tol)
-    if q < q_req:
+    phi, psi = spec.theta - math.pi / 2.0, math.pi - spec.theta
+    m, mu, h, roundoff = _hyperbola_rule(phi, psi, tol)
+    if 3.0 * roundoff > tol:
         raise RefinementNeededError(
-            "n_nodes=%d cannot reach tol=%.1e on this contour; need >= %d"
-            % (spec.n_nodes, tol, N_PANELS * q_req),
-            suggested_n_nodes=N_PANELS * (q_req + 4),
+            "tol=%.1e is below the roundoff floor of the hyperbola rule: "
+            "its roundoff bound there is %.1e" % (tol, 3.0 * roundoff),
+            suggested_n_nodes=2 * m,
+            achieved=3.0 * roundoff,
         )
-    u_lo = math.log(spec.r_min)
-    u_hi = math.log(spec.r_max)
-    edges = np.linspace(u_lo, u_hi, N_PANELS + 1)
-    gx, gw = _gauss_legendre(q)
-    u = np.concatenate(
-        [0.5 * (a + b) + 0.5 * (b - a) * gx for a, b in zip(edges[:-1], edges[1:])]
+    if 2 * m > spec.n_nodes:
+        raise RefinementNeededError(
+            "n_nodes=%d cannot reach tol=%.1e: the hyperbola rule needs %d nodes"
+            % (spec.n_nodes, tol, 2 * m),
+            suggested_n_nodes=2 * m,
+        )
+    u = (np.arange(m) + 0.5) * h
+    # 1 + sin(i u - phi) and cos(i u - phi), free of cancellation near the vertex
+    shape = 2.0 * math.sin(psi / 2.0) ** 2 * np.cosh(u) - 2.0 * np.sinh(u / 2.0) ** 2
+    nodes = (mu / t) * (shape + 1j * math.sin(psi) * np.sinh(u))
+    # ds = i mu cos(i u - phi) du / t, and i/(2 pi i) = 1/(2 pi)
+    weights = (h * mu / (2.0 * math.pi * t)) * (
+        math.sin(psi) * np.cosh(u) + 1j * math.sin(phi) * np.sinh(u)
     )
-    du = np.concatenate(
-        [0.5 * (b - a) * gw for a, b in zip(edges[:-1], edges[1:])]
-    )
-    rho = np.exp(u)
-    eitheta = cmath.exp(1j * spec.theta)
-    ray = (rho / t) * eitheta
-    # outgoing upper ray carries +1/(2 pi i) = -i/(2 pi); dr = rho du / t
-    ray_w = (-0.5j / math.pi) * du * (rho / t) * eitheta
-    # junction arc, counterclockwise from the lower ray to the upper ray;
-    # ds = i s d(phi), and i/(2 pi i) = 1/(2 pi)
-    n_arc = max(12, min(32, q))
-    ax, aw = _gauss_legendre(n_arc)
-    phi = 0.5 * spec.theta * (ax + 1.0)
-    dphi = 0.5 * spec.theta * aw
-    arc = (spec.r_min / t) * np.exp(1j * phi)
-    arc_w = dphi * arc / (2.0 * math.pi)
-    return ContourQuadrature(
-        nodes=np.concatenate([ray, arc]), weights=np.concatenate([ray_w, arc_w])
-    )
+    return ContourQuadrature(nodes=nodes, weights=weights)
 
 
 def _eval_on_nodes(f: Callable, s: np.ndarray) -> np.ndarray:
@@ -237,8 +233,8 @@ def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
     f is called once, on the whole node array, and must return an array
     of the same shape.  Accuracy is engineered for t equal to the
     quadrature's time scale; other positive t are permitted for
-    diagnostics.  The result of the full two-ray-plus-arc integral is
-    real for conjugate-symmetric f and is returned as a float.
+    diagnostics.  The integral over the whole hyperbola is real for
+    conjugate-symmetric f and is returned as a float.
     """
     if t <= 0.0:
         raise ConfigurationError("evaluation time must be positive, got %r" % t)

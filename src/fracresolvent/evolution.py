@@ -1,10 +1,12 @@
 """Evolution family V(t), fractional smoothing, and mild solutions.
 
 The family acts through the inversion integral of K(s) (s^(alpha-1) I + A)^(-1)
-along the two-ray contour.  The spectral shift is s^(alpha-1), mapping
-small Laplace frequencies to large spectral parameters, which is what
-makes almost sectorial generators (no resolvent control near 0) usable:
-the contour never asks for the resolvent near the spectral origin.
+along the hyperbolic contour of contour.py.  The spectral shift is
+s^(alpha-1), mapping small Laplace frequencies to large spectral
+parameters, which is what makes almost sectorial generators (no resolvent
+control near 0) usable: the contour stays a distance mu (1 - sin phi) / t
+from the origin, so it never asks for the resolvent near the spectral
+origin.
 
 Note the resolvent sign: A is assembled positive semidefinite and the
 dynamics is u' (fractional) + A u = f, so every evaluation solves
@@ -16,7 +18,7 @@ negative real axis whenever the angle condition holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,13 +119,12 @@ def scalar_mode_values(
     """v(lambda, t) for every eigenvalue at once.
 
     v is the scalar inversion of K(s) / (s^(alpha-1) + lambda); the
-    denominator stays away from zero for lambda >= 0 because the
-    redirected nodes keep a fixed angle off the positive real axis.
+    denominator stays away from zero for lambda >= 0 because every node
+    has |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.
     """
     lam = np.asarray(lam, dtype=np.float64)
     s = quad.all_nodes()
-    w = quad.all_weights()
-    factor = w * np.exp(s * t) * eval_kernel(kernel, s)
+    factor = quad.all_weights() * np.exp(s * t) * eval_kernel(kernel, s)
     denom = redirect(s, kernel.alpha)[:, None] + lam[None, :]
     small = np.abs(denom) < 1e-300
     if np.any(small):
@@ -150,43 +151,14 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def resolvent_apply(
-    op: DiscreteOperator,
-    cfg: EvolutionConfig,
-    t: float,
-    x,
-    verify: bool = False,
-) -> np.ndarray:
-    """V(t) x by one banded solve per contour node.
-
-    With verify=True the integral is recomputed at doubled node count
-    and the two results must agree to 10 * tol in the M-norm (relative);
-    the refined value is returned.
-    """
+def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
+    """V(t) x by one banded solve per contour node."""
     check_pairing(op, cfg)
     x = op.check_vector(np.asarray(x, dtype=np.float64))
-    u = _resolvent_apply_once(op, cfg.kernel, cfg.contour, cfg.tol, t, x)
-    if not verify:
-        return u
-    refined_spec = replace(cfg.contour, n_nodes=2 * cfg.contour.n_nodes)
-    u2 = _resolvent_apply_once(op, cfg.kernel, refined_spec, cfg.tol, t, x)
-    scale = max(op.weighted_norm(u2), 1e-300)
-    delta = op.weighted_norm(u2 - u) / scale
-    if delta > 10.0 * cfg.tol:
-        raise RefinementNeededError(
-            "node doubling moved V(t)x by %.3e relative (tol %.1e)" % (delta, cfg.tol),
-            suggested_n_nodes=4 * cfg.contour.n_nodes,
-            achieved=delta,
-        )
-    return u2
-
-
-def _resolvent_apply_once(op, kernel, contour_spec, tol, t, x) -> np.ndarray:
-    quad = build_quadrature(contour_spec, t, tol)
+    quad = build_quadrature(cfg.contour, t, cfg.tol)
     s = quad.all_nodes()
-    w = quad.all_weights()
-    factor = w * np.exp(s * t) * eval_kernel(kernel, s)
-    shifts = redirect(s, kernel.alpha)
+    factor = quad.all_weights() * np.exp(s * t) * eval_kernel(cfg.kernel, s)
+    shifts = redirect(s, cfg.kernel.alpha)
     acc = np.zeros(op.n, dtype=np.complex128)
     for fj, zj in zip(factor, shifts):
         # (zj I + A)^{-1} x  ==  -(( -zj) I - A)^{-1} x
@@ -247,7 +219,7 @@ def mild_solution(
     n_sub = int(n_sub)
     states = np.zeros((len(cfg.times), op.n))
     norms = np.zeros(len(cfg.times))
-    # the node count depends on the contour spec, not on t
+    # the node count depends on theta and tol, not on t
     n_nodes = build_quadrature(cfg.contour, float(cfg.times[0]), cfg.tol).all_nodes().size
     for it, t in enumerate(cfg.times):
         u = resolvent_apply(op, cfg, float(t), cfg.u0)

@@ -245,7 +245,7 @@ def build_evolution_config(cfg: ExperimentConfig, u0: np.ndarray) -> EvolutionCo
     kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
     # the default angle is pushed out when alpha needs a wider contour
     contour = default_contour_spec(
-        alpha=cfg.alpha, tol=cfg.tol, n_nodes=cfg.n_nodes,
+        alpha=cfg.alpha, n_nodes=cfg.n_nodes,
         theta=None if cfg.theta == DEFAULT_THETA else cfg.theta,
     )
     times = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)

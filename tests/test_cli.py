@@ -83,11 +83,11 @@ def test_unwritable_output_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_underresolved_contour_exits_3(tmp_path, capsys, monkeypatch):
-    # 32 nodes cannot carry 8 digits on the default contour; the node-count
-    # gate refuses before any evaluation
+    # the rule for 8 digits needs 30 nodes, over a budget of 16; the
+    # node-count gate refuses before any evaluation
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "coarse.cfg"
-    cfg.write_text(SMALL_SWEEP + "contour.n_nodes = 32\n")
+    cfg.write_text(SMALL_SWEEP + "contour.n_nodes = 16\n")
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error:")

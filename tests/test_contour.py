@@ -1,6 +1,7 @@
 """Contour geometry, quadrature accuracy, and the redirection map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from fracresolvent.errors import (
     RefinementNeededError,
 )
 
-# moderate inner radius: the power-transform integrands are singular at the
-# origin and a 1e-14 truncation amplifies roundoff in s^(-1-alpha)
-POWER_SPEC = ContourSpec(theta=DEFAULT_THETA, n_nodes=128, r_min=1e-8, r_max=55.0)
+# the hyperbola crosses the real axis at mu (1 - sin phi) / t > 0, so the
+# power-transform integrands, singular at the origin, stay bounded on it
+POWER_SPEC = ContourSpec(theta=DEFAULT_THETA, n_nodes=128)
 
 
 def test_unit_step_orientation_and_accuracy():
@@ -54,28 +55,38 @@ def test_exponential_shift():
 
 
 def test_node_doubling_consistency():
-    spec2 = ContourSpec(theta=DEFAULT_THETA, n_nodes=256, r_min=1e-8, r_max=55.0)
+    # the node budget no longer shapes the rule; a tighter tol refines it
     for t in (0.01, 1.0, 100.0):
-        v1 = invert_scalar(build_quadrature(POWER_SPEC, t, 1e-8), lambda s: 1.0 / s, t)
-        v2 = invert_scalar(build_quadrature(spec2, t, 1e-8), lambda s: 1.0 / s, t)
+        coarse = build_quadrature(POWER_SPEC, t, 1e-8)
+        fine = build_quadrature(POWER_SPEC, t, 1e-12)
+        assert fine.all_nodes().size > coarse.all_nodes().size
+        v1 = invert_scalar(coarse, lambda s: 1.0 / s, t)
+        v2 = invert_scalar(fine, lambda s: 1.0 / s, t)
         assert abs(v1 - v2) <= 1e-8
 
 
 def test_nodes_scale_inversely_with_time():
     qa = build_quadrature(POWER_SPEC, 1.0, 1e-8)
     qb = build_quadrature(POWER_SPEC, 2.0, 1e-8)
-    # the node array holds the ray and the junction arc
+    # the node array holds the upper half of the hyperbola
     assert np.allclose(qb.all_nodes(), qa.all_nodes() / 2.0, rtol=1e-15)
 
 
 def test_resolution_gate_raises_with_suggestion():
-    # the default radii span 15+ decades; two more digits push the
-    # per-panel requirement past 128/4 nodes
-    spec = default_contour_spec(0.5, 1e-8)
-    with pytest.raises(RefinementNeededError) as info:
+    # 2M(1e-10) nodes do not fit a budget of 16
+    spec = default_contour_spec(0.5, 1e-8, n_nodes=16)
+    with pytest.raises(RefinementNeededError, match="n_nodes=16") as info:
         build_quadrature(spec, 1.0, 1e-10)
     assert info.value.suggested_n_nodes is not None
     assert info.value.suggested_n_nodes > spec.n_nodes
+    ok = build_quadrature(
+        default_contour_spec(0.5, 1e-8, n_nodes=info.value.suggested_n_nodes), 1.0, 1e-10
+    )
+    assert 2 * ok.all_nodes().size == info.value.suggested_n_nodes
+    # no budget reaches a tolerance below the rule's roundoff floor
+    with pytest.raises(RefinementNeededError, match="roundoff floor") as info:
+        build_quadrature(default_contour_spec(0.5, 1e-8, n_nodes=10**6), 1.0, 1e-17)
+    assert info.value.achieved > 1e-17
 
 
 def test_non_finite_integrand_reported():
@@ -133,14 +144,41 @@ def test_build_quadrature_argument_validation():
 def test_default_spec_radii_track_alpha_and_tol():
     spec = default_contour_spec(0.5, 1e-8)
     assert spec.theta == DEFAULT_THETA
-    assert math.isclose(spec.r_max, (math.log(1e8) + 20.0) / (-math.cos(DEFAULT_THETA)))
-    # tol^(1/(1-alpha)) = 1e-16 here, below the 1e-14 floor
-    assert spec.r_min == 1e-14
-    assert math.isclose(default_contour_spec(0.25, 1e-8).r_min, 1e-8 ** (1.0 / 0.75))
     with pytest.raises(ConfigurationError):
         default_contour_spec(1.5, 1e-8)
     with pytest.raises(ConfigurationError):
         default_contour_spec(0.5, 2.0)
+
+
+def test_radii_no_longer_shape_the_contour():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = ContourSpec()
+    with pytest.warns(DeprecationWarning, match="r_min and r_max") as record:
+        moved = ContourSpec(r_min=1e-8, r_max=100.0)
+    assert len(record) == 1
+    a, b = build_quadrature(plain, 1.0, 1e-8), build_quadrature(moved, 1.0, 1e-8)
+    assert np.array_equal(a.all_nodes(), b.all_nodes())
+
+
+def test_at_most_16_nodes_at_shipped_tol():
+    """Every alpha the default theta_A accepts, up to theta next to pi."""
+    for alpha in np.linspace(0.01, 0.8749999, 40):
+        spec = default_contour_spec(float(alpha))
+        assert build_quadrature(spec, 1.0, 1e-8).all_nodes().size <= 16
+
+
+def test_extreme_angles_are_sized_at_once():
+    """The node count is a formula in theta and tol, with no search to run away."""
+    with pytest.raises(RefinementNeededError, match="n_nodes=128") as info:
+        build_quadrature(ContourSpec(theta=math.pi / 2.0 + 1e-6), 1.0, 1e-8)
+    assert info.value.suggested_n_nodes > 10**6
+    # next to pi the rule keeps its size and its accuracy
+    for t in (1e-3, 1.0, 100.0):
+        quad = build_quadrature(ContourSpec(theta=math.pi - 1e-8), t, 1e-8)
+        assert quad.all_nodes().size <= 16
+        assert abs(invert_scalar(quad, lambda s: 1.0 / (s + 1.0), t) - math.exp(-t)) <= 1e-8
+        assert abs(invert_scalar(quad, lambda s: 1.0 / s, t) - 1.0) <= 1e-8
 
 
 def test_redirect_modulus_and_argument():

