@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from fracresolvent.contour import (
     ContourQuadrature,
@@ -135,19 +134,25 @@ def scalar_mode_values(
     return 2.0 * np.real(np.sum(factor[:, None] / denom, axis=0))
 
 
+def _require_psd(op: DiscreteOperator) -> None:
+    """Refuse a pencil whose lowest eigenvalue falls below EIGENVALUE_CLAMP."""
+    lam_min = op.lowest_eigenvalue()
+    if lam_min < EIGENVALUE_CLAMP:
+        raise NumericalError(
+            "eigenvalue %g below the clamp threshold %g: operator is not PSD"
+            % (lam_min, EIGENVALUE_CLAMP)
+        )
+
+
 def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
     """Eigenvalues of A for its fractional powers, roundoff negatives set to 0.
 
-    Every A^gamma goes through here: apply_spectral(lam**gamma, x).
+    Every spectral A^gamma goes through here: apply_spectral(lam**gamma, x).
     Eigenvalues below EIGENVALUE_CLAMP mean the pencil is not positive
     semidefinite and are refused.
     """
     lam = op.eigensystem().eigenvalues
-    if float(lam.min(initial=0.0)) < EIGENVALUE_CLAMP:
-        raise NumericalError(
-            "eigenvalue %g below the clamp threshold %g: operator is not PSD"
-            % (float(lam.min()), EIGENVALUE_CLAMP)
-        )
+    _require_psd(op)
     return np.maximum(lam, 0.0)
 
 
@@ -191,11 +196,24 @@ def smoothed_apply(
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
-    """M-weighted norm of A^gamma u."""
+    """M-weighted norm of A^gamma u; gamma picks the route.
+
+    gamma == 0 is the plain weighted norm.  gamma == 1/2 uses
+    ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u on the stiffness bands and
+    forms no eigenvectors; the pencil is still refused as not PSD when
+    its lowest eigenvalue, found by bisection once per operator, falls
+    below EIGENVALUE_CLAMP.  Any other gamma applies lambda^gamma through
+    the eigenbasis (one decomposition per operator).
+    """
     if gamma == 0.0:
         return op.weighted_norm(u)
+    u = op.check_vector(np.asarray(u))
+    if gamma == 0.5:
+        _require_psd(op)
+        # S is PSD, so a negative form is roundoff: clamped like the spectrum
+        return math.sqrt(max(float(np.vdot(u, op.stiffness.matvec(u)).real), 0.0))
     lam = _clamped_spectrum(op)
-    return op.weighted_norm(op.apply_spectral(lam**gamma, np.asarray(u)))
+    return op.weighted_norm(op.apply_spectral(lam**gamma, u))
 
 
 def mild_solution(
@@ -313,6 +331,6 @@ def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray
         quad = build_quadrature(cfg.contour, float(t), cfg.tol)
         vals[i] = scalar_mode_values(quad, cfg.kernel, spectrum, float(t))
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
-    acc = trapezoid(integrand, x=np.log(ts), axis=0)
+    acc = np.trapezoid(integrand, x=np.log(ts), axis=0)
     acc += vals[0] * LAPLACE_T_MIN * math.exp(-lam * LAPLACE_T_MIN)
     return op.apply_spectral(acc, x)

@@ -16,7 +16,7 @@ import numpy as np
 
 from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
 from fracresolvent.errors import ConfigurationError, OutputError
-from fracresolvent.evolution import EvolutionConfig, smoothed_apply
+from fracresolvent.evolution import EvolutionConfig, resolvent_apply, smoothed_norm
 from fracresolvent.kernels import (
     ABC,
     CAPUTO_PROBE,
@@ -257,13 +257,16 @@ def build_evolution_config(cfg: ExperimentConfig, u0: np.ndarray) -> EvolutionCo
 # --- sweeps -----------------------------------------------------------------
 
 def smoothing_sweep(cfg: ExperimentConfig) -> DecayTable:
-    """Homogeneous decay sweep: ||A^gamma V(t) u0|| against anchored refs."""
+    """Homogeneous decay sweep: ||A^gamma V(t) u0|| against anchored refs.
+
+    V(t) u0 is always by shifted solves; smoothed_norm picks the norm's route.
+    """
     op = build_operator(cfg)
     u0 = build_initial_state(cfg, op)
     evo = build_evolution_config(cfg, u0)
     norms = np.empty(cfg.t_count)
     for i, t in enumerate(evo.times):
-        norms[i] = op.weighted_norm(smoothed_apply(op, evo, float(t), u0))
+        norms[i] = smoothed_norm(op, cfg.gamma, resolvent_apply(op, evo, float(t), u0))
     t1, n1 = float(evo.times[0]), float(norms[0])
     scale = ANCHOR_SAFETY * n1
     bound_ag = scale * (evo.times / t1) ** (-cfg.alpha * cfg.gamma)

@@ -21,6 +21,7 @@ from fracresolvent.tridiag import (
     EigenDecomposition,
     TridiagonalMatrix,
     eigh_tridiagonal,
+    lowest_eigenvalue,
     solve_tridiagonal,
 )
 
@@ -51,6 +52,7 @@ class DiscreteOperator:
         if not self.stiffness.is_symmetric():
             raise ConfigurationError("stiffness must be symmetric")
         self._eig = None
+        self._lam_min = None
         self._sqrt_mass = None
 
     @property
@@ -63,17 +65,24 @@ class DiscreteOperator:
             self._sqrt_mass = np.sqrt(self.lumped_mass)
         return self._sqrt_mass
 
+    def _symmetrized(self) -> TridiagonalMatrix:
+        """A~ = M^{-1/2} S M^{-1/2}, the symmetric form sharing A's spectrum."""
+        d = self.sqrt_mass
+        off = self.stiffness.sub / (d[:-1] * d[1:]) if self.n > 1 else self.stiffness.sub
+        return TridiagonalMatrix(sub=off, diag=self.stiffness.diag / self.lumped_mass, sup=off)
+
     def eigensystem(self) -> EigenDecomposition:
         """Eigendecomposition of A~ = M^{-1/2} S M^{-1/2} (cached)."""
         if self._eig is None:
-            d = self.sqrt_mass
-            sym = TridiagonalMatrix(
-                sub=self.stiffness.sub / (d[:-1] * d[1:]) if self.n > 1 else self.stiffness.sub,
-                diag=self.stiffness.diag / self.lumped_mass,
-                sup=self.stiffness.sup / (d[:-1] * d[1:]) if self.n > 1 else self.stiffness.sup,
-            )
-            self._eig = eigh_tridiagonal(sym)
+            self._eig = eigh_tridiagonal(self._symmetrized())
         return self._eig
+
+    def lowest_eigenvalue(self) -> float:
+        """Smallest eigenvalue of A~ (cached); by bisection if A~ is not decomposed."""
+        if self._lam_min is None:
+            self._lam_min = (float(self._eig.eigenvalues[0]) if self._eig is not None
+                             else lowest_eigenvalue(self._symmetrized()))
+        return self._lam_min
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         """Return x unchanged, or refuse it unless it has shape (n,)."""
@@ -100,32 +109,26 @@ class DiscreteOperator:
         return (eig.eigenvectors @ (values * coeff)) / d
 
 
-def _element_weight(lo: float, hi: float, weight) -> float:
-    # 4-point Gauss-Legendre, exact through cubics
+def _gauss4(edges: np.ndarray, integrand) -> np.ndarray:
+    """Integral of integrand(x, lo, hi) over every element [lo, hi] of the mesh.
+
+    4-point Gauss-Legendre per element, exact through cubics.
+    """
+    lo, hi = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return float(half * np.sum(_GL4_W * weight(mid + half * _GL4_X)))
+    return half[:, 0] * np.sum(_GL4_W * integrand(mid + half * _GL4_X, lo, hi), axis=1)
 
 
-def _assemble_stiffness(edges: np.ndarray, weight, keep) -> TridiagonalMatrix:
+def _assemble_stiffness(edges: np.ndarray, weight, keep: np.ndarray) -> TridiagonalMatrix:
     """P1 stiffness for the form integral of weight * u' v'.
 
-    edges are the n_el+1 mesh points; keep maps mesh point index to the
-    unknown index or -1 for constrained (Dirichlet) points.
+    edges are the n_el+1 mesh points; keep marks the mesh points that
+    are unknowns (False for constrained Dirichlet points).
     """
-    n = int(max(keep)) + 1
-    diag = np.zeros(n)
-    off = np.zeros(max(n - 1, 0))
-    for e in range(len(edges) - 1):
-        lo, hi = float(edges[e]), float(edges[e + 1])
-        w = _element_weight(lo, hi, weight) / (hi - lo) ** 2
-        i, j = keep[e], keep[e + 1]
-        if i >= 0:
-            diag[i] += w
-        if j >= 0:
-            diag[j] += w
-        if i >= 0 and j >= 0:
-            off[min(i, j)] -= w
-    return TridiagonalMatrix(sub=off, diag=diag, sup=off.copy())
+    w = _gauss4(edges, lambda x, lo, hi: weight(x)) / np.diff(edges) ** 2
+    total = np.pad(w, (1, 0)) + np.pad(w, (0, 1))  # each node sums its two elements
+    off = -w[keep[:-1] & keep[1:]]
+    return TridiagonalMatrix(sub=off, diag=total[keep], sup=off.copy())
 
 
 def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperator:
@@ -142,22 +145,22 @@ def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperato
     n = int(n)
     h = 1.0 / (n + 1)
     edges = np.linspace(0.0, 1.0, n + 2)
-    keep = [-1] + list(range(n)) + [-1]
+    keep = np.ones(n + 2, dtype=bool)
+    keep[[0, -1]] = False
     stiff = _assemble_stiffness(edges, lambda x: x * (1.0 - x), keep)
 
-    def primitive(a: float, x: float) -> float:
+    def primitive(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         # antiderivative of (x - a) / (x (1 - x)); the a = 0 / a = 1 guards
         # keep the vanishing-coefficient log terms out of 0 * inf territory
-        left = -a * math.log(x) if a != 0.0 else 0.0
-        right = -(1.0 - a) * math.log(1.0 - x) if a != 1.0 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = np.where(a != 0.0, -a * np.log(x), 0.0)
+            right = np.where(a != 1.0, -(1.0 - a) * np.log(1.0 - x), 0.0)
         return left + right
 
-    mass = np.zeros(n)
-    for i in range(1, n + 1):
-        a, b, c = edges[i - 1], edges[i], edges[i + 1]
-        rising = (primitive(a, b) - primitive(a, a)) / h
-        falling = (primitive(c, b) - primitive(c, c)) / h
-        mass[i - 1] = rising + falling
+    a, b, c = edges[:-2], edges[1:-1], edges[2:]
+    rising = (primitive(a, b) - primitive(a, a)) / h
+    falling = (primitive(c, b) - primitive(c, c)) / h
+    mass = rising + falling
     return DiscreteOperator(
         kind=KIMURA,
         stiffness=stiff,
@@ -188,23 +191,18 @@ def assemble_bessel(
     n = int(n)
     h = r_max / n
     edges = np.linspace(0.0, r_max, n + 1)
-    keep = list(range(n)) + [-1]
+    keep = np.ones(n + 1, dtype=bool)
+    keep[-1] = False
     power = 2.0 * nu + 1.0
 
     def weight(r):
         return np.abs(r) ** power
 
     stiff = _assemble_stiffness(edges, weight, keep)
-    mass = np.zeros(n)
-    for j in range(n):
-        r = edges[j]
-        if j > 0:
-            mass[j] += _element_weight(
-                edges[j - 1], r, lambda x: (x - edges[j - 1]) / h * weight(x)
-            )
-        mass[j] += _element_weight(
-            r, edges[j + 1], lambda x: (edges[j + 1] - x) / h * weight(x)
-        )
+    # each element's rising hat belongs to its right node, the falling hat to its left
+    rising = _gauss4(edges, lambda x, lo, hi: (x - lo) / h * weight(x))
+    falling = _gauss4(edges, lambda x, lo, hi: (hi - x) / h * weight(x))
+    mass = np.pad(rising[:-1], (1, 0)) + falling
     return DiscreteOperator(
         kind=BESSEL,
         stiffness=stiff,

@@ -144,3 +144,14 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
+
+def lowest_eigenvalue(m: TridiagonalMatrix) -> float:
+    """Smallest eigenvalue of a symmetric real tridiagonal matrix, by bisection (O(n) memory)."""
+    try:
+        w = scipy.linalg.eigvalsh_tridiagonal(
+            np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float),
+            select="i", select_range=(0, 0),
+        )
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
+    return float(w[0])

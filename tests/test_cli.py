@@ -1,6 +1,13 @@
 """End-to-end command-line behavior, exercised in process via cli.main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import fracresolvent
 
 from fracresolvent.cli import main
 from fracresolvent.experiments import CSV_HEADER
@@ -134,3 +141,13 @@ def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gam
     err = capsys.readouterr().err
     assert "config error" in err and str(u0) in err and "index 7" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_import_spares_scipy_integrate():
+    """The CLI imports no scipy.integrate (a quarter of a second at start-up)."""
+    probe = "import sys, fracresolvent.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(fracresolvent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

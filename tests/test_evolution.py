@@ -251,6 +251,20 @@ def test_laplace_identity_zero_mode_rhs():
     assert abs(report.rhs[0] - 1.0) <= 1e-12
 
 
+def test_laplace_check_unchanged_by_numpy_trapezoid(monkeypatch):
+    """np.trapezoid, which spares the scipy.integrate import, gives the same report."""
+    from scipy.integrate import trapezoid
+
+    op = assemble_kimura(30)
+    cfg = cfg_with()
+    x = np.sin(np.pi * np.arange(1, 31) / 31.0)
+    report = laplace_check(op, cfg, 2.0, x=x)
+    monkeypatch.setattr(np, "trapezoid", trapezoid)
+    before = laplace_check(op, cfg, 2.0, x=x)
+    assert (report.rel_err, report.grid_delta) == (before.rel_err, before.grid_delta)
+    assert np.array_equal(report.lhs, before.lhs)
+
+
 def test_laplace_check_validation():
     op = make_diagonal([1.0])
     with pytest.raises(ConfigurationError):

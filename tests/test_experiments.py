@@ -1,13 +1,15 @@
 """Config parsing, decay sweeps, probe tables, CSV/SVG emission."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracresolvent.operators
 from fracresolvent.contour import DEFAULT_THETA, min_theta
 from fracresolvent.errors import ConfigurationError, OutputError
-from fracresolvent.evolution import check_pairing
+from fracresolvent.evolution import check_pairing, smoothed_apply
 from fracresolvent.experiments import (
     ANCHOR_SAFETY,
     CSV_HEADER,
@@ -18,6 +20,7 @@ from fracresolvent.experiments import (
     build_operator,
     caputo_probe,
     emit_outputs,
+    load_config,
     local_exponent,
     parse_config,
     read_table,
@@ -206,6 +209,37 @@ def test_sweep_exponent_column(sweep_table):
     e = sweep_table.local_exponent
     assert math.isnan(e[0]) and math.isnan(e[-1])
     assert np.all(np.isfinite(e[1:-1]))
+
+
+def _spectral_norms(cfg):
+    """||A^gamma V(t) u0||_M of the sweep's times through the spectral route."""
+    op = build_operator(cfg)
+    u0 = build_initial_state(cfg, op)
+    evo = build_evolution_config(cfg, u0)
+    return np.array([op.weighted_norm(smoothed_apply(op, evo, float(t), u0)) for t in evo.times])
+
+
+@pytest.mark.parametrize("demo", ["kimura_abc.cfg", "bessel_w.cfg"])
+def test_half_power_sweep_needs_no_eigendecomposition(demo, monkeypatch):
+    """A gamma = 1/2 sweep takes its norms from u^T S u, never from an eigenbasis."""
+    cfg = load_config(Path(fracresolvent.__file__).parent / "configs" / demo)
+    assert cfg.gamma == 0.5 and cfg.n == 1000
+    reference = _spectral_norms(cfg)
+
+    def refuse(m):
+        raise AssertionError("the gamma = 1/2 sweep decomposed an operator")
+
+    monkeypatch.setattr(fracresolvent.operators, "eigh_tridiagonal", refuse)
+    norms = smoothing_sweep(cfg).norms
+    assert np.max(np.abs(norms - reference) / reference) <= 1e-9
+
+
+def test_other_power_sweep_matches_spectral_route():
+    cfg = parse_config(SWEEP_TEXT.replace("run.gamma = 0.5", "run.gamma = 0.25"))
+    assert cfg.gamma == 0.25
+    norms = smoothing_sweep(cfg).norms
+    reference = _spectral_norms(cfg)
+    assert np.max(np.abs(norms - reference) / reference) <= 1e-9
 
 
 def test_local_exponent_recovers_power_law():

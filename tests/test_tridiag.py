@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracresolvent.errors import NumericalError, SingularMatrixError
-from fracresolvent.evolution import _clamped_spectrum
+from fracresolvent.evolution import _clamped_spectrum, smoothed_norm
 from fracresolvent.operators import DiscreteOperator
 from fracresolvent.tridiag import (
     TridiagonalMatrix,
@@ -161,6 +161,23 @@ def test_frac_power_zero_mode_annihilated():
 def test_frac_power_rejects_negative_spectrum():
     with pytest.raises(NumericalError, match="not PSD"):
         _power(_single(-1.0), 0.5, np.array([1.0]))
+
+
+def test_half_power_norm_rejects_negative_spectrum():
+    """The u^T S u route of smoothed_norm refuses what the spectral route refuses."""
+    with pytest.raises(NumericalError, match="not PSD"):
+        smoothed_norm(_single(-1.0), 0.5, np.array([1.0]))
+    with pytest.raises(NumericalError, match="not PSD"):
+        smoothed_norm(_single(2.0, -1e-9, 3.0), 0.5, np.ones(3))
+    # roundoff negatives above the clamp pass, as in the spectral route
+    assert smoothed_norm(_single(4.0, -1e-12), 0.5, np.array([1.0, 0.0])) == 2.0
+
+
+def test_lowest_eigenvalue_matches_full_solver():
+    rng = np.random.default_rng(19)
+    op = _psd_op(rng, 40)
+    bisected = op.lowest_eigenvalue()
+    assert bisected == pytest.approx(op.eigensystem().eigenvalues[0], rel=1e-12)
 
 
 def test_solve_spectral_consistency():
