@@ -48,7 +48,7 @@ class SingularMatrixError(NumericalError):
 
 
 class IllConditionedError(NumericalError):
-    """Iterative refinement could not reach the residual target."""
+    """A solve missed the backward-error target."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

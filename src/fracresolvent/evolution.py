@@ -41,8 +41,6 @@ from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel
 from fracresolvent.operators import DiscreteOperator, resolve
 from fracresolvent.tridiag import EIGENVALUE_CLAMP
 
-# below this fraction of t, the convolution factor V(t - tau) is the identity
-SMALL_ARGUMENT_FRACTION = 1e-8
 DEFAULT_CONV_SUBINTERVALS = 64
 LAPLACE_T_MIN = 1e-6
 LAPLACE_TAIL_FACTOR = 40.0
@@ -122,16 +120,15 @@ def scalar_mode_values(
     has |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    s = quad.all_nodes()
-    factor = quad.all_weights() * np.exp(s * t) * eval_kernel(kernel, s)
+    s, factor = _node_factors(quad, kernel, t)
     denom = redirect(s, kernel.alpha)[:, None] + lam[None, :]
-    small = np.abs(denom) < 1e-300
-    if np.any(small):
-        i = int(np.argmax(np.any(small, axis=1)))
-        raise EvaluationError(
-            "resolvent denominator vanished at node %r" % s[i], node=s[i], index=i
-        )
     return 2.0 * np.real(np.sum(factor[:, None] / denom, axis=0))
+
+
+def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t: float):
+    """The contour nodes s and the factors w e^(st) K(s) every inversion shares."""
+    s = quad.all_nodes()
+    return s, quad.all_weights() * np.exp(s * t) * eval_kernel(kernel, s)
 
 
 def _require_psd(op: DiscreteOperator) -> None:
@@ -160,9 +157,17 @@ def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> 
     """V(t) x by one banded solve per contour node."""
     check_pairing(op, cfg)
     x = op.check_vector(np.asarray(x, dtype=np.float64))
-    quad = build_quadrature(cfg.contour, t, cfg.tol)
-    s = quad.all_nodes()
-    factor = quad.all_weights() * np.exp(s * t) * eval_kernel(cfg.kernel, s)
+    return _inverse_apply(op, cfg, t, x, 0)
+
+
+def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x, k: int):
+    """Inverse transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1) x at t.
+
+    k = 0 is V(t) x; k = 1 and k = 2 are its first and second integrals
+    in time, whose extra pole at s = 0 the contour encloses.
+    """
+    s, factor = _node_factors(build_quadrature(cfg.contour, t, cfg.tol), cfg.kernel, t)
+    factor = factor / s**k
     shifts = redirect(s, cfg.kernel.alpha)
     acc = np.zeros(op.n, dtype=np.complex128)
     for fj, zj in zip(factor, shifts):
@@ -223,10 +228,17 @@ def mild_solution(
 ) -> EvolutionResult:
     """u(t) = V(t) u0 + integral of V(t - tau) f(tau) over [0, t].
 
-    The convolution uses the composite trapezoid on a uniform tau grid;
-    at tau within SMALL_ARGUMENT_FRACTION * t of the endpoint the factor
-    V(t - tau) f(tau) is taken as f(tau) (the family's t = 0
-    normalization), since the contour cannot be built at scale 0.
+    The forcing is replaced by its piecewise-linear interpolant on the
+    n_sub pieces of tau_j = j t / n_sub, which is convolved with V exactly
+    (product integration):
+
+        W1(t) f(0) + sum_{j < n_sub} (sigma_j - sigma_{j-1}) W2(t - tau_j),
+
+    with sigma_j the slope on piece j, sigma_{-1} = 0, and W_k the inverse
+    transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1).  Only f is
+    approximated, to second order in t / n_sub; the stiff modes' fast
+    transients are integrated through the transform, and every lag is at
+    least t / n_sub.
     """
     check_pairing(op, cfg)
     if cfg.u0 is None:
@@ -240,31 +252,16 @@ def mild_solution(
     # the node count depends on theta and tol, not on t
     n_nodes = build_quadrature(cfg.contour, float(cfg.times[0]), cfg.tol).all_nodes().size
     for it, t in enumerate(cfg.times):
-        u = resolvent_apply(op, cfg, float(t), cfg.u0)
+        t = float(t)
+        u = resolvent_apply(op, cfg, t, cfg.u0)
         if cfg.forcing is not None:
-            h = float(t) / n_sub
-            acc = np.zeros(op.n)
-            for j in range(n_sub + 1):
-                tau = j * h
-                try:
-                    fval = np.asarray(cfg.forcing(tau), dtype=np.float64)
-                except Exception as exc:
-                    raise EvaluationError(
-                        "forcing evaluation failed at tau=%r: %s" % (tau, exc)
-                    ) from exc
-                if fval.shape != (op.n,):
-                    raise ConfigurationError(
-                        "forcing at tau=%r returned shape %r, expected (%d,)"
-                        % (tau, fval.shape, op.n)
-                    )
-                lag = float(t) - tau
-                if lag < SMALL_ARGUMENT_FRACTION * float(t):
-                    term = fval
-                else:
-                    term = resolvent_apply(op, cfg, lag, fval)
-                weight = 0.5 * h if j in (0, n_sub) else h
-                acc += weight * term
-            u = u + acc
+            h = t / n_sub
+            f = np.array([_forcing_at(cfg.forcing, j * h, op.n) for j in range(n_sub + 1)])
+            # slope jumps sigma_j - sigma_(j-1), with sigma_(-1) = 0
+            jumps = np.diff(np.diff(f, axis=0) / h, axis=0, prepend=0.0)
+            u = u + _inverse_apply(op, cfg, t, f[0], 1)
+            for j in range(n_sub):
+                u = u + _inverse_apply(op, cfg, t - j * h, jumps[j], 2)
         states[it] = u
         norms[it] = smoothed_norm(op, cfg.gamma, u)
     return EvolutionResult(
@@ -273,6 +270,23 @@ def mild_solution(
         smoothed_norms=norms,
         node_counts=np.full(len(cfg.times), n_nodes, dtype=np.int64),
     )
+
+
+def _forcing_at(forcing, tau: float, n: int) -> np.ndarray:
+    """f(tau) as a finite float vector of length n; failures name tau."""
+    try:
+        fval = np.asarray(forcing(tau), dtype=np.float64)
+    except Exception as exc:
+        raise EvaluationError("forcing evaluation failed at tau=%r: %s" % (tau, exc)) from exc
+    if fval.shape != (n,):
+        raise ConfigurationError(
+            "forcing at tau=%r returned shape %r, expected (%d,)" % (tau, fval.shape, n)
+        )
+    if not np.all(np.isfinite(fval)):
+        i = int(np.argmin(np.isfinite(fval)))
+        raise EvaluationError("forcing at tau=%r has non-finite value %r at index %d"
+                              % (tau, float(fval[i]), i), node=tau, index=i)
+    return fval
 
 
 def laplace_check(

@@ -176,6 +176,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigurationError("line %d: duplicate key %r" % (lineno, key))
         try:
             values[attr] = conv(val)
+            if conv is float and not math.isfinite(values[attr]):
+                raise ValueError("must be finite, got %r" % val)
         except ConfigurationError:
             raise
         except ValueError as exc:

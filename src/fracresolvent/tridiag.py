@@ -53,16 +53,12 @@ class TridiagonalMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        if self.n > 1:
-            y[:-1] = y[:-1] + self.sup * x[1:]
-            y[1:] = y[1:] + self.sub * x[:-1]
+        y[:-1] = y[:-1] + self.sup * x[1:]
+        y[1:] = y[1:] + self.sub * x[:-1]
         return y
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.n > 1:
-            a += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return a
+        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
 
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.sub, self.sup))
@@ -79,45 +75,34 @@ class EigenDecomposition:
 def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve m x = rhs by LAPACK gtsv (elimination with partial pivoting).
 
-    One step of iterative refinement follows the solve; the backward
-    error ||r|| / (||m|| ||x|| + ||rhs||) must then reach 1e-10 or the
-    solve is rejected as ill-conditioned.  (A residual scaled by ||rhs||
-    alone would grow with the condition number even for a perfectly
-    stable solve.)  An exactly zero pivot raises SingularMatrixError
-    naming its row.
+    The backward error ||r|| / (||m|| ||x|| + ||rhs||) of the solve must
+    reach 1e-10 or it is rejected as ill-conditioned.  (A residual scaled
+    by ||rhs|| alone would grow with the condition number even for a
+    perfectly stable solve.)  An exactly zero pivot raises
+    SingularMatrixError naming its row.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (m.n,):
         raise ValueError("rhs length %s does not match matrix order %d" % (rhs.shape, m.n))
-    x = _gtsv(m, rhs)
-    # one refinement step
-    r = rhs - m.matvec(x)
-    x = x + _gtsv(m, r)
-    r = rhs - m.matvec(x)
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return np.zeros_like(x)
-    row_sum = np.abs(m.diag).astype(np.float64)
-    if m.n > 1:
-        row_sum[:-1] += np.abs(m.sup)
-        row_sum[1:] += np.abs(m.sub)
-    denom = float(row_sum.max()) * float(np.linalg.norm(x)) + float(scale)
-    residual = float(np.linalg.norm(r) / denom)
-    if not np.isfinite(residual) or residual > RESIDUAL_TARGET:
-        raise IllConditionedError(
-            "backward error %.3e exceeds target %.1e after refinement"
-            % (residual, RESIDUAL_TARGET),
-            residual=residual,
-        )
-    return x
-
-
-def _gtsv(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     # the f2py wrapper rejects empty off-diagonals, so n = 1 passes length-1 ones
     sub, sup = (m.sub, m.sup) if m.n > 1 else (np.zeros(1), np.zeros(1))
     _, _, _, x, info = scipy.linalg.lapack.zgtsv(sub, m.diag, sup, rhs)
     if info > 0:
         raise SingularMatrixError("zero pivot at row %d" % (info - 1), index=info - 1)
+    r = rhs - m.matvec(x)
+    scale = np.linalg.norm(rhs)
+    if scale == 0.0:
+        return np.zeros_like(x)
+    row_sum = np.abs(m.diag).astype(np.float64)
+    row_sum[:-1] += np.abs(m.sup)
+    row_sum[1:] += np.abs(m.sub)
+    denom = float(row_sum.max()) * float(np.linalg.norm(x)) + float(scale)
+    residual = float(np.linalg.norm(r) / denom)
+    if not np.isfinite(residual) or residual > RESIDUAL_TARGET:
+        raise IllConditionedError(
+            "backward error %.3e exceeds target %.1e" % (residual, RESIDUAL_TARGET),
+            residual=residual,
+        )
     return x
 
 
@@ -133,13 +118,9 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
     if not m.is_symmetric():
         raise ValueError("matrix is not symmetric: sub and sup bands differ")
     try:
-        if m.n == 1:
-            w = np.asarray([float(m.diag[0])])
-            v = np.ones((1, 1))
-        else:
-            w, v = scipy.linalg.eigh_tridiagonal(
-                np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float)
-            )
+        w, v = scipy.linalg.eigh_tridiagonal(
+            np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float)
+        )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

@@ -143,6 +143,20 @@ def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gam
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", (("run.t_max", "inf"), ("kernel.B", "inf"),
+                                        ("contour.tol", "nan"), ("run.gamma", "-inf")))
+def test_non_finite_float_key_is_a_config_error(tmp_path, capsys, monkeypatch, key, value):
+    """inf and nan parse as floats; every float key refuses them with its line."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("operator.kind = kimura\noperator.n = 10\nrun.t_count = 3\n%s = %s\n"
+                   % (key, value))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4:") and repr(key) in err and "finite" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_import_spares_scipy_integrate():
     """The CLI imports no scipy.integrate (a quarter of a second at start-up)."""
     probe = "import sys, fracresolvent.cli; print('scipy.integrate' in sys.modules)"

@@ -14,6 +14,7 @@ from fracresolvent.contour import (
 )
 from fracresolvent.errors import ConfigurationError, EvaluationError
 from fracresolvent.evolution import (
+    DEFAULT_CONV_SUBINTERVALS,
     EvolutionConfig,
     _clamped_spectrum,
     laplace_check,
@@ -199,12 +200,39 @@ def test_mild_constant_forcing_oracle():
     assert err < 1e-9
     op = make_diagonal([mu])
     cfg = cfg_with(times=(t_end,), u0=np.zeros(1), forcing=lambda tau: np.ones(1))
-    # the mode has a sqrt kink at tau = t, so the trapezoid rule is ~order 1.5
-    res = mild_solution(op, cfg, n_sub=256)
-    assert abs(res.states[0, 0] - conv) / abs(conv) <= 5e-4
+    # the product rule convolves V exactly with the interpolant of f, which
+    # reproduces a constant at any n_sub
+    for n_sub in (2, 256):
+        res = mild_solution(op, cfg, n_sub=n_sub)
+        assert abs(res.states[0, 0] - conv) / abs(conv) <= 1e-8
 
 
-def test_mild_trapezoid_order():
+def test_mild_stiff_modes_match_quad_oracle():
+    """Stiff modes' transients near tau = t are integrated through the transform.
+
+    f = 1 and f = 1 + 3 tau are reproduced by the piecewise-linear
+    interpolant, so only the contour error is left, at any n_sub.
+    """
+    eigs = [0.5, 1e2, 1e4]
+    op = make_diagonal(eigs)
+    for forcing, n_sub in ((lambda tau: 1.0, DEFAULT_CONV_SUBINTERVALS),
+                           (lambda tau: 1.0 + 3.0 * tau, 2)):
+        for t_end in (0.1, 1.0):
+            cfg = cfg_with(times=(t_end,), u0=np.zeros(3),
+                           forcing=lambda tau, f=forcing: np.full(3, f(tau)))
+            res = mild_solution(op, cfg, n_sub)
+            for i, mu in enumerate(eigs):
+                # lag r = t - tau, with breakpoints at the mode's time scales
+                exact = adaptive_quad(
+                    lambda r: abc_mode_exact(mu, r) * forcing(t_end - r), 0.0, t_end,
+                    points=[t_end * 10.0**-k for k in range(1, 10)], limit=500,
+                    epsabs=0.0, epsrel=1e-12,
+                )[0]
+                assert abs(res.states[0, i] - exact) / abs(exact) <= 1e-8
+
+
+def test_mild_product_rule_order():
+    """Linear interpolation of a smooth f: the error falls like n_sub^-2."""
     op = make_diagonal([2.0])
     t_end = 1.0
 
@@ -232,6 +260,17 @@ def test_mild_forcing_failures_are_located():
         mild_solution(op, bad_shape, n_sub=4)
     with pytest.raises(ConfigurationError):
         mild_solution(op, cfg_with(times=(1.0,)))  # u0 missing
+
+
+@pytest.mark.parametrize("bad, tau", ((np.nan, 0.5), (np.inf, 1.0)), ids=("nan", "inf"))
+def test_mild_non_finite_forcing_is_located(bad, tau):
+    """A non-finite f from tau on (at tau = t alone for inf) is refused with tau and index."""
+    op = make_diagonal([1.0, 2.0])
+    forcing = lambda s: np.array([1.0, bad if s >= tau else 1.0])
+    cfg = cfg_with(times=(1.0,), u0=np.zeros(2), forcing=forcing)
+    with pytest.raises(EvaluationError, match="tau=%r .* index 1" % tau) as info:
+        mild_solution(op, cfg, n_sub=4)
+    assert (info.value.node, info.value.index) == (tau, 1)
 
 
 def test_laplace_identity_diagonal():
