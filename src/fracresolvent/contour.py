@@ -29,6 +29,7 @@ from fracresolvent.errors import (
     EvaluationError,
     RefinementNeededError,
 )
+from fracresolvent.kernels import principal_power
 
 DEFAULT_THETA = 3.0 * math.pi / 4.0
 DEFAULT_THETA_A = math.pi / 8.0
@@ -256,9 +257,7 @@ def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
 def redirect(s, alpha: float):
     """Principal-branch spectral redirection s -> s^(alpha-1).
 
-    Evaluated in polar form so that |result| = |s|^(alpha-1) and
-    arg(result) = (alpha-1) arg(s) hold to a few ulp.  Inputs on the
-    branch cut (-inf, 0] are rejected.
+    Inputs on the branch cut (-inf, 0] are rejected.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
@@ -269,9 +268,7 @@ def redirect(s, alpha: float):
             "redirection undefined on the branch cut (-inf, 0]: %r"
             % arr[on_cut].flat[0]
         )
-    r = np.abs(arr)
-    phi = np.angle(arr)
-    out = r ** (alpha - 1.0) * np.exp(1j * (alpha - 1.0) * phi)
+    out = principal_power(arr, alpha - 1.0)
     if np.isscalar(s) or arr.ndim == 0:
         return complex(out)
     return out

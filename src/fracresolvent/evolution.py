@@ -77,6 +77,13 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
+    """mild_solution's states u(t) and their A^gamma norms at cfg.times.
+
+    node_counts counts the upper-half contour nodes of each time's rule,
+    which is the number of shifted solves per inversion; the budget
+    ContourSpec.n_nodes counts both halves.
+    """
+
     times: np.ndarray
     states: np.ndarray
     smoothed_norms: np.ndarray
@@ -144,7 +151,7 @@ def _require_psd(op: DiscreteOperator) -> None:
 def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
     """Eigenvalues of A for its fractional powers, roundoff negatives set to 0.
 
-    Every spectral A^gamma goes through here: apply_spectral(lam**gamma, x).
+    _fractional_power and laplace_check's mode values take it from here.
     Eigenvalues below EIGENVALUE_CLAMP mean the pencil is not positive
     semidefinite and are refused.
     """
@@ -176,49 +183,33 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x, k: i
     return 2.0 * np.real(acc)
 
 
-def smoothed_apply(
-    op: DiscreteOperator,
-    cfg: EvolutionConfig,
-    t: float,
-    x,
-) -> np.ndarray:
-    """A^gamma V(t) x.
+def _fractional_power(op: DiscreteOperator, gamma: float, u: np.ndarray) -> np.ndarray:
+    """A^gamma u: u itself at gamma == 0, else through the eigenbasis."""
+    if gamma == 0.0:
+        return u
+    return op.apply_spectral(_clamped_spectrum(op) ** gamma, u)
 
-    The route follows gamma: gamma == 0 goes through one shifted solve
-    per contour node (resolvent_apply) and needs no eigendecomposition;
-    gamma > 0 evaluates lambda^gamma v(lambda, t) on the pencil
-    eigenvalues and assembles through the mass-symmetrized eigenbasis,
-    one decomposition shared across all times.
-    """
-    check_pairing(op, cfg)
-    if cfg.gamma == 0.0:
-        return resolvent_apply(op, cfg, t, x)
-    x = op.check_vector(np.asarray(x, dtype=np.float64))
-    lam = _clamped_spectrum(op)
-    quad = build_quadrature(cfg.contour, t, cfg.tol)
-    values = lam**cfg.gamma * scalar_mode_values(quad, cfg.kernel, lam, t)
-    return op.apply_spectral(values, x)
+
+def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
+    """A^gamma V(t) x: V(t) x by shifted solves, then A^gamma."""
+    return _fractional_power(op, cfg.gamma, resolvent_apply(op, cfg, t, x))
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
-    """M-weighted norm of A^gamma u; gamma picks the route.
+    """M-weighted norm of A^gamma u.
 
-    gamma == 0 is the plain weighted norm.  gamma == 1/2 uses
-    ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u on the stiffness bands and
-    forms no eigenvectors; the pencil is still refused as not PSD when
-    its lowest eigenvalue, found by bisection once per operator, falls
-    below EIGENVALUE_CLAMP.  Any other gamma applies lambda^gamma through
-    the eigenbasis (one decomposition per operator).
+    gamma == 1/2 uses ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u on the
+    stiffness bands and forms no eigenvectors; the pencil is still
+    refused as not PSD when its lowest eigenvalue, found by bisection
+    once per operator, falls below EIGENVALUE_CLAMP.  Any other gamma
+    applies A^gamma as smoothed_apply does.
     """
-    if gamma == 0.0:
-        return op.weighted_norm(u)
     u = op.check_vector(np.asarray(u))
     if gamma == 0.5:
         _require_psd(op)
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return math.sqrt(max(float(np.vdot(u, op.stiffness.matvec(u)).real), 0.0))
-    lam = _clamped_spectrum(op)
-    return op.weighted_norm(op.apply_spectral(lam**gamma, u))
+    return op.weighted_norm(_fractional_power(op, gamma, u))
 
 
 def mild_solution(
@@ -253,7 +244,7 @@ def mild_solution(
     n_nodes = build_quadrature(cfg.contour, float(cfg.times[0]), cfg.tol).all_nodes().size
     for it, t in enumerate(cfg.times):
         t = float(t)
-        u = resolvent_apply(op, cfg, t, cfg.u0)
+        u = _inverse_apply(op, cfg, t, cfg.u0, 0)
         if cfg.forcing is not None:
             h = t / n_sub
             f = np.array([_forcing_at(cfg.forcing, j * h, op.n) for j in range(n_sub + 1)])

@@ -83,7 +83,8 @@ class AdmissibilityReport:
     message: str = ""
 
 
-def _principal_power(s: np.ndarray, p: float) -> np.ndarray:
+def principal_power(s: np.ndarray, p: float) -> np.ndarray:
+    """Principal-branch s^p in polar form: |s|^p and p arg(s) hold to a few ulp."""
     r = np.abs(s)
     phi = np.angle(s)
     return r**p * np.exp(1j * p * phi)
@@ -101,10 +102,10 @@ def eval_kernel(params: KernelParams, s):
             "kernel undefined on the branch cut (-inf, 0]: %r" % arr[on_cut].flat[0]
         )
     a = params.alpha
-    salpham1 = _principal_power(arr, a - 1.0)
+    salpham1 = principal_power(arr, a - 1.0)
     if params.kind == ABC:
         c = a / (1.0 - a)
-        denom = _principal_power(arr, a) + c
+        denom = principal_power(arr, a) + c
         _check_denominator(denom)
         out = (params.b / (1.0 - a)) * salpham1 / denom
     elif params.kind == W:

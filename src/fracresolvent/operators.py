@@ -42,8 +42,6 @@ class DiscreteOperator:
     stiffness: TridiagonalMatrix
     lumped_mass: np.ndarray
     sector: SectorSpec = field(default_factory=SectorSpec)
-    nu: float | None = None
-    r_max: float | None = None
 
     def __post_init__(self):
         self.lumped_mass = np.asarray(self.lumped_mass, dtype=np.float64)
@@ -68,7 +66,7 @@ class DiscreteOperator:
     def _symmetrized(self) -> TridiagonalMatrix:
         """A~ = M^{-1/2} S M^{-1/2}, the symmetric form sharing A's spectrum."""
         d = self.sqrt_mass
-        off = self.stiffness.sub / (d[:-1] * d[1:]) if self.n > 1 else self.stiffness.sub
+        off = self.stiffness.sub / (d[:-1] * d[1:])
         return TridiagonalMatrix(sub=off, diag=self.stiffness.diag / self.lumped_mass, sup=off)
 
     def eigensystem(self) -> EigenDecomposition:
@@ -137,8 +135,7 @@ def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperato
     Uniform mesh with h = 1/(n+1), homogeneous Dirichlet at both ends.
     The stiffness integrand is cubic per element, so the 4-point rule is
     exact; the mass weight is singular at the endpoints but the hat
-    functions cancel the singularity, and the per-element antiderivative
-    -a ln x - (1-a) ln(1-x) of (x-a)/(x(1-x)) gives M exactly.
+    functions cancel the singularity, and M is integrated in closed form.
     """
     if int(n) != n or n < 1:
         raise ConfigurationError("interior node count must be an integer >= 1, got %r" % n)
@@ -149,18 +146,16 @@ def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperato
     keep[[0, -1]] = False
     stiff = _assemble_stiffness(edges, lambda x: x * (1.0 - x), keep)
 
-    def primitive(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # antiderivative of (x - a) / (x (1 - x)); the a = 0 / a = 1 guards
-        # keep the vanishing-coefficient log terms out of 0 * inf territory
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(a != 0.0, -a * np.log(x), 0.0)
-            right = np.where(a != 1.0, -(1.0 - a) * np.log(1.0 - x), 0.0)
-        return left + right
-
-    a, b, c = edges[:-2], edges[1:-1], edges[2:]
-    rising = (primitive(a, b) - primitive(a, a)) / h
-    falling = (primitive(c, b) - primitive(c, c)) / h
-    mass = rising + falling
+    # integral of each hat against 1/x, times h: with y = h/b it is
+    # (b - h) ln(1 - y) + (b + h) ln(1 + y) = b log1p(-y^2) + 2 h atanh(y),
+    # two terms of size h^2/b that do not cancel; at the first node the
+    # left element ends at 0, where (b - h) ln(1 - y) vanishes
+    b = edges[1:-1]
+    y = h / b[1:]
+    f = np.concatenate(([2.0 * h * math.log(2.0)],
+                        b[1:] * np.log1p(-y * y) + 2.0 * h * np.arctanh(y)))
+    # 1/(x(1-x)) = 1/x + 1/(1-x), and the mesh maps onto itself under x -> 1 - x
+    mass = (f + f[::-1]) / h
     return DiscreteOperator(
         kind=KIMURA,
         stiffness=stiff,
@@ -208,8 +203,6 @@ def assemble_bessel(
         stiffness=stiff,
         lumped_mass=mass,
         sector=sector if sector is not None else SectorSpec(),
-        nu=float(nu),
-        r_max=float(r_max),
     )
 
 
@@ -226,7 +219,7 @@ def make_diagonal(
             % float(lam.min())
         )
     k = lam.size
-    stiff = TridiagonalMatrix(sub=np.zeros(max(k - 1, 0)), diag=lam.copy(), sup=np.zeros(max(k - 1, 0)))
+    stiff = TridiagonalMatrix(sub=np.zeros(k - 1), diag=lam.copy(), sup=np.zeros(k - 1))
     return DiscreteOperator(
         kind=DIAGONAL,
         stiffness=stiff,

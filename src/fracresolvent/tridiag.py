@@ -41,7 +41,7 @@ class TridiagonalMatrix:
         n = self.diag.shape[0]
         if n < 1:
             raise ValueError("empty matrix")
-        if self.sub.shape != (max(n - 1, 0),) or self.sup.shape != (max(n - 1, 0),):
+        if self.sub.shape != (n - 1,) or self.sup.shape != (n - 1,):
             raise ValueError(
                 "band lengths inconsistent: diag has %d, sub %s, sup %s"
                 % (n, self.sub.shape, self.sup.shape)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import erfc
 
+import fracresolvent.evolution
 from fracresolvent.contour import (
     build_quadrature,
     default_contour_spec,
@@ -20,6 +21,7 @@ from fracresolvent.evolution import (
     laplace_check,
     mild_solution,
     resolvent_apply,
+    scalar_mode_values,
     smoothed_apply,
     smoothed_norm,
 )
@@ -138,21 +140,46 @@ def test_smoothing_scalar_scaling():
     assert abs(half[0] - 2.0 * plain[0]) <= 1e-12 * abs(plain[0])
 
 
+def spectral_smoothed(op, cfg, t, x):
+    """A^gamma V(t) x with V(t) from the mode values: no shifted solve."""
+    lam = _clamped_spectrum(op)
+    quad = build_quadrature(cfg.contour, t, cfg.tol)
+    return op.apply_spectral(lam**cfg.gamma * scalar_mode_values(quad, cfg.kernel, lam, t), x)
+
+
 def test_smoothed_routes_commute():
     op = assemble_kimura(40)
     x = np.sin(np.pi * np.arange(1, 41) / 41.0)
     cfg = cfg_with(gamma=0.5)
-    spectral = smoothed_apply(op, cfg, 0.5, x)
-    # reference: A^gamma applied after the node-wise solves of V(t) x
-    solved = op.apply_spectral(_clamped_spectrum(op) ** 0.5, resolvent_apply(op, cfg, 0.5, x))
+    solved = smoothed_apply(op, cfg, 0.5, x)
+    spectral = spectral_smoothed(op, cfg, 0.5, x)
     scale = max(op.weighted_norm(spectral), 1e-30)
     assert op.weighted_norm(spectral - solved) / scale <= 1e-8
+
+
+def test_smoothed_apply_takes_no_mode_values(monkeypatch):
+    op = assemble_kimura(40)
+    x = np.sin(np.pi * np.arange(1, 41) / 41.0)
+    cfg = cfg_with(gamma=0.5)
+    spectral = spectral_smoothed(op, cfg, 0.5, x)
+
+    def refuse(*args):
+        raise AssertionError("smoothed_apply evaluated the spectral mode values")
+
+    monkeypatch.setattr(fracresolvent.evolution, "scalar_mode_values", refuse)
+    solved = smoothed_apply(op, cfg, 0.5, x)
+    assert op.weighted_norm(spectral - solved) / op.weighted_norm(spectral) <= 1e-8
 
 
 def test_smoothed_norm_gamma_zero():
     op = make_diagonal([1.0, 2.0])
     u = np.array([3.0, 4.0])
     assert smoothed_norm(op, 0.0, u) == op.weighted_norm(u)
+
+
+def test_smoothed_norm_refuses_wrong_shape_at_gamma_zero():
+    with pytest.raises(ConfigurationError, match="does not match"):
+        smoothed_norm(make_diagonal([1.0, 2.0]), 0.0, np.array([2.0]))
 
 
 def test_smoothing_sup_stable_under_node_doubling():

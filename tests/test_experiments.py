@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import fracresolvent.operators
-from fracresolvent.contour import DEFAULT_THETA, min_theta
+from fracresolvent.contour import DEFAULT_THETA, build_quadrature, min_theta
 from fracresolvent.errors import ConfigurationError, OutputError
-from fracresolvent.evolution import check_pairing, smoothed_apply
+from fracresolvent.evolution import _clamped_spectrum, check_pairing, scalar_mode_values
 from fracresolvent.experiments import (
     ANCHOR_SAFETY,
     CSV_HEADER,
@@ -212,11 +212,17 @@ def test_sweep_exponent_column(sweep_table):
 
 
 def _spectral_norms(cfg):
-    """||A^gamma V(t) u0||_M of the sweep's times through the spectral route."""
+    """||A^gamma V(t) u0||_M of the sweep's times, V(t) from the mode values (no solves)."""
     op = build_operator(cfg)
     u0 = build_initial_state(cfg, op)
     evo = build_evolution_config(cfg, u0)
-    return np.array([op.weighted_norm(smoothed_apply(op, evo, float(t), u0)) for t in evo.times])
+    lam = _clamped_spectrum(op)
+    norms = []
+    for t in evo.times:
+        quad = build_quadrature(evo.contour, float(t), evo.tol)
+        values = lam**evo.gamma * scalar_mode_values(quad, evo.kernel, lam, float(t))
+        norms.append(op.weighted_norm(op.apply_spectral(values, u0)))
+    return np.array(norms)
 
 
 @pytest.mark.parametrize("demo", ["kimura_abc.cfg", "bessel_w.cfg"])

@@ -1,6 +1,7 @@
 """Assembly oracles, resolvent application, and sectoriality estimates."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -41,6 +42,40 @@ def test_kimura_assembly_invariants():
     assert np.all(np.diff(lam) >= 0.0)
     with pytest.raises(ConfigurationError):
         assemble_kimura(0)
+
+
+def _kimura_mass_oracle(n, nodes):
+    """Lumped Kimura mass at the given nodes of the exact mesh j/(n+1), to 30 digits.
+
+    With L_k = ln((k+1)/k), the hat at node j integrates 1/(x(1-x)) to
+    (n+2-j) L_(n+1-j) + (j+1) L_j - (j-1) L_(j-1) - (n-j) L_(n-j),
+    a term dropping out where its factor is 0.
+    """
+    big = n + 1
+    with localcontext() as ctx:
+        ctx.prec = 30
+
+        def ln_ratio(k):
+            return (Decimal(k + 1) / k).ln()
+
+        out = []
+        for j in nodes:
+            m = (big - j + 1) * ln_ratio(big - j) + (j + 1) * ln_ratio(j)
+            if j > 1:
+                m -= (j - 1) * ln_ratio(j - 1)
+            if j < n:
+                m -= (big - j - 1) * ln_ratio(big - j - 1)
+            out.append(float(m))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100_000])
+def test_kimura_mass_matches_decimal_oracle(n):
+    """The closed-form mass keeps its digits where the mesh is fine."""
+    nodes = sorted({*range(1, n + 1, 97), (n + 1) // 2, n})
+    got = assemble_kimura(n).lumped_mass[np.array(nodes) - 1]
+    ref = _kimura_mass_oracle(n, nodes)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-11
 
 
 def test_kimura_mesh_convergence():
@@ -92,7 +127,6 @@ def test_bessel_assembly_invariants():
     assert np.array_equal(op.stiffness.sub, op.stiffness.sup)
     assert np.all(op.lumped_mass > 0.0)
     assert op.eigensystem().eigenvalues[0] >= -1e-10
-    assert op.nu == 0.25 and op.r_max == 20.0
 
 
 def test_diagonal_resolvent_hand_value():
