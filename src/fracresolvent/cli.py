@@ -11,9 +11,7 @@ import sys
 from importlib import resources
 
 from fracresolvent.errors import ConfigurationError, NumericalError, OutputError
-from fracresolvent.contour import DEFAULT_THETA
-from fracresolvent.experiments import caputo_probe, run_experiment
-from fracresolvent.kernels import KernelParams, estimate_admissibility
+from fracresolvent.experiments import run_experiment
 
 _DEMOS = {"kimura-abc": "kimura_abc.cfg", "bessel-w": "bessel_w.cfg"}
 
@@ -25,46 +23,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment described by a config file")
-    run.add_argument("config", help="path to a section.key = value config")
-
-    probe = sub.add_parser(
-        "probe-caputo",
-        help="tabulate the constant-order inversion integrand near the origin",
+    run = sub.add_parser(
+        "run",
+        help="run an experiment described by a config file "
+             "(run.mode: smoothing, caputo or admissibility)",
     )
-    probe.add_argument("--alpha", type=float, required=True)
-    probe.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    probe.add_argument("--theta", type=float, default=DEFAULT_THETA)
-
-    adm = sub.add_parser("check-admissible", help="estimate kernel admissibility constants")
-    adm.add_argument("--kernel", choices=("abc", "w"), required=True)
-    adm.add_argument("--alpha", type=float, required=True)
-    adm.add_argument("--beta", type=float, default=1.0)
+    run.add_argument("config", help="path to a section.key = value config")
 
     demo = sub.add_parser("demo", help="run a bundled demonstration config")
     demo.add_argument("name", choices=sorted(_DEMOS))
     return p
-
-
-def _cmd_probe(args) -> int:
-    result = caputo_probe(args.alpha, lam=args.lam, theta=args.theta)
-    print("alpha=%g lambda=%g theta=%.6g" % (args.alpha, args.lam, args.theta))
-    print("|s| range [%.3g, %.3g], %d samples"
-          % (result.radii[0], result.radii[-1], result.radii.size))
-    print("fitted small-|s| slope: %.4f" % result.slope)
-    if args.lam == 0.0:
-        print("slope -1 means the inversion integrand is not integrable at the origin")
-    return 0
-
-
-def _cmd_check_admissible(args) -> int:
-    params = KernelParams(kind=args.kernel, alpha=args.alpha, beta=args.beta)
-    report = estimate_admissibility(params)
-    print(report.message)
-    print("c0_hat=%.6g cinf_hat=%.6g small_s_exponent=%.4f worst |s|=%.3g"
-          % (report.c0_hat, report.cinf_hat, report.small_s_exponent,
-             abs(report.worst_s)))
-    return 0
 
 
 def _cmd_demo(args) -> int:
@@ -78,10 +46,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return run_experiment(args.config)
-        if args.command == "probe-caputo":
-            return _cmd_probe(args)
-        if args.command == "check-admissible":
-            return _cmd_check_admissible(args)
         return _cmd_demo(args)
     except ConfigurationError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -46,6 +46,11 @@ LAPLACE_T_MIN = 1e-6
 LAPLACE_TAIL_FACTOR = 40.0
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ConfigurationError("gamma must lie in [0, 1), got %r" % gamma)
+
+
 @dataclass
 class EvolutionConfig:
     """Everything a run needs besides the operator itself."""
@@ -59,8 +64,7 @@ class EvolutionConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigurationError("gamma must lie in [0, 1), got %r" % self.gamma)
+        _check_gamma(self.gamma)
         if not 0.0 < self.tol < 1.0:
             raise ConfigurationError("tol must lie in (0, 1), got %r" % self.tol)
         t = np.asarray(self.times, dtype=np.float64)
@@ -202,8 +206,9 @@ def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
     stiffness bands and forms no eigenvectors; the pencil is still
     refused as not PSD when its lowest eigenvalue, found by bisection
     once per operator, falls below EIGENVALUE_CLAMP.  Any other gamma
-    applies A^gamma as smoothed_apply does.
+    applies A^gamma as smoothed_apply does.  gamma must lie in [0, 1).
     """
+    _check_gamma(gamma)
     u = op.check_vector(np.asarray(u))
     if gamma == 0.5:
         _require_psd(op)

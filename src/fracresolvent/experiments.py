@@ -1,4 +1,4 @@
-"""Config-driven experiment runner: decay sweeps, probe tables, file output.
+"""Config-driven experiment runner: decay sweeps, diagnostic tables, file output.
 
 Configs are flat UTF-8 text, one `section.key = value` per line, with
 '#' comments.  Every key is listed in _KEY_TABLE below; anything else is
@@ -50,7 +50,7 @@ class ExperimentConfig:
     alpha: float = 0.5
     beta: float = 1.0
     b: float = 1.0
-    theta: float = DEFAULT_THETA
+    theta: float | None = None
     n_nodes: int = 128
     tol: float = 1e-8
     gamma: float = 0.0
@@ -94,8 +94,6 @@ class DecayTable:
     bound_alpha_gamma: np.ndarray
     bound_gamma: np.ndarray
     local_exponent: np.ndarray
-    alpha: float = 0.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -127,7 +125,10 @@ def _parse_operator_kind(v):
 
 def _parse_kernel_kind(v):
     if v not in (ABC, W, CAPUTO_PROBE):
-        raise ConfigurationError("kernel.kind must be abc or w, got %r" % v)
+        raise ConfigurationError(
+            "kernel.kind must be abc or w, or caputo_probe in admissibility mode, "
+            "got %r" % v
+        )
     return v
 
 
@@ -245,11 +246,8 @@ def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarr
 
 def build_evolution_config(cfg: ExperimentConfig, u0: np.ndarray) -> EvolutionConfig:
     kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
-    # the default angle is pushed out when alpha needs a wider contour
-    contour = default_contour_spec(
-        alpha=cfg.alpha, n_nodes=cfg.n_nodes,
-        theta=None if cfg.theta == DEFAULT_THETA else cfg.theta,
-    )
+    # an unset angle is pushed out when alpha needs a wider contour; a set one is kept
+    contour = default_contour_spec(alpha=cfg.alpha, n_nodes=cfg.n_nodes, theta=cfg.theta)
     times = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
     return EvolutionConfig(
         kernel=kernel, contour=contour, gamma=cfg.gamma, times=times, u0=u0, tol=cfg.tol
@@ -279,8 +277,6 @@ def smoothing_sweep(cfg: ExperimentConfig) -> DecayTable:
         bound_alpha_gamma=bound_ag,
         bound_gamma=bound_g,
         local_exponent=np.full(cfg.t_count, np.nan),
-        alpha=cfg.alpha,
-        gamma=cfg.gamma,
     )
     return local_exponent(table)
 
@@ -306,9 +302,6 @@ class ProbeResult:
     radii: np.ndarray
     values: np.ndarray
     slope: float
-    theta: float
-    alpha: float
-    lam: float
 
 
 def caputo_probe(alpha: float, lam: float = 0.0, theta: float = DEFAULT_THETA,
@@ -343,35 +336,31 @@ def caputo_probe(alpha: float, lam: float = 0.0, theta: float = DEFAULT_THETA,
         raise ConfigurationError("probe integrand overflowed on this grid")
     sel = radii <= radii[0] * 100.0
     slope = float(np.polyfit(np.log10(radii[sel]), np.log10(g[sel]), 1)[0])
-    return ProbeResult(radii=radii, values=g, slope=slope, theta=theta,
-                       alpha=alpha, lam=lam)
+    return ProbeResult(radii=radii, values=g, slope=slope)
 
 
 # --- output -----------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _write_table(path, header: str, *columns) -> None:
+    """One CSV row per index of the columns: 17 significant digits, '.'
+    decimal separator, '\n' line endings, a non-finite value as an empty field.
+    """
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join("%.17g" % x if math.isfinite(x) else "" for x in row))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_outputs(table: DecayTable, csv_path, svg_path=None) -> None:
     """Write the table as CSV (and optionally a log-log SVG plot).
 
-    CSV: '.' decimal separator, 17 significant digits, header exactly
-    CSV_HEADER, missing exponents as an empty field.
+    CSV: header exactly CSV_HEADER, rows as _write_table formats them, so a
+    missing exponent is an empty field.
     """
     if table.n_rows == 0:
         raise ConfigurationError("refusing to emit an empty table")
-    lines = [CSV_HEADER]
-    for i in range(table.n_rows):
-        e = table.local_exponent[i]
-        lines.append(",".join([
-            _fmt(table.times[i]),
-            _fmt(table.norms[i]),
-            _fmt(table.bound_alpha_gamma[i]),
-            _fmt(table.bound_gamma[i]),
-            "" if not np.isfinite(e) else _fmt(e),
-        ]))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_table(csv_path, CSV_HEADER, table.times, table.norms,
+                 table.bound_alpha_gamma, table.bound_gamma, table.local_exponent)
     if svg_path is not None:
         from fracresolvent.svg import render_decay_svg
 
@@ -410,26 +399,8 @@ def read_table(csv_path) -> DecayTable:
     )
 
 
-def _emit_probe_csv(result: ProbeResult, csv_path) -> None:
-    lines = ["s_abs,g"]
-    for r, g in zip(result.radii, result.values):
-        lines.append("%s,%s" % (_fmt(r), _fmt(g)))
-    _write_text(csv_path, "\n".join(lines) + "\n")
-
-
-def _emit_admissibility_csv(cfg: ExperimentConfig, csv_path) -> None:
-    kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
-    radii = np.logspace(-8, 8, 129)
-    s = radii * np.exp(1j * cfg.theta)
-    vals = np.abs(eval_kernel(kernel, s))
-    lines = ["s_abs,k_abs"]
-    for r, v in zip(radii, vals):
-        lines.append("%s,%s" % (_fmt(r), _fmt(v)))
-    _write_text(csv_path, "\n".join(lines) + "\n")
-
-
 def run_experiment(config_path) -> int:
-    """Dispatch on run.mode, write the outputs, print a one-line summary."""
+    """Dispatch on run.mode, write the outputs, print a summary."""
     cfg = load_config(config_path)
     if cfg.mode == "smoothing":
         table = smoothing_sweep(cfg)
@@ -443,15 +414,23 @@ def run_experiment(config_path) -> int:
             print("bound violated at t=%.6g (ratio %.4f); wrote %s"
                   % (table.times[worst], ratio, cfg.csv_path))
         return 0
+    theta = DEFAULT_THETA if cfg.theta is None else cfg.theta
     if cfg.mode == "caputo":
-        result = caputo_probe(cfg.alpha, lam=cfg.lam, theta=cfg.theta)
-        _emit_probe_csv(result, cfg.csv_path)
-        print("fitted small-|s| slope %.4f (alpha=%g, lambda=%g); wrote %s"
-              % (result.slope, cfg.alpha, cfg.lam, cfg.csv_path))
+        result = caputo_probe(cfg.alpha, lam=cfg.lam, theta=theta)
+        _write_table(cfg.csv_path, "s_abs,g", result.radii, result.values)
+        print("fitted small-|s| slope %.4f over |s| in [%.3g, %.3g] "
+              "(alpha=%g, lambda=%g, theta=%.6g); wrote %s"
+              % (result.slope, result.radii[0], result.radii[-1], cfg.alpha, cfg.lam,
+                 theta, cfg.csv_path))
+        if cfg.lam == 0.0:
+            print("slope -1 means the inversion integrand is not integrable at the origin")
         return 0
     kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
-    report = estimate_admissibility(kernel, theta=cfg.theta)
-    _emit_admissibility_csv(cfg, cfg.csv_path)
-    print("%s (c0_hat=%.6g, cinf_hat=%.6g); wrote %s"
-          % (report.message, report.c0_hat, report.cinf_hat, cfg.csv_path))
+    report = estimate_admissibility(kernel, theta=theta)
+    radii = np.logspace(-8, 8, 129)
+    _write_table(cfg.csv_path, "s_abs,k_abs", radii,
+                 np.abs(eval_kernel(kernel, radii * np.exp(1j * theta))))
+    print("%s (c0_hat=%.6g, cinf_hat=%.6g, small_s_exponent=%.4f, worst |s|=%.3g); "
+          "wrote %s" % (report.message, report.c0_hat, report.cinf_hat,
+                        report.small_s_exponent, abs(report.worst_s), cfg.csv_path))
     return 0

@@ -65,7 +65,7 @@ class KernelParams:
 
 @dataclass
 class AdmissibilityReport:
-    """Sampled envelope constants along the contour rays.
+    """Sampled envelope constants along the contour ray.
 
     c0_hat is the raw maximum of |K| over |s| <= 1; cinf_hat the maximum
     of |K(s)|/|s|^(alpha-1) over |s| >= 1.  passed reflects the envelope
@@ -128,9 +128,10 @@ def _check_denominator(denom: np.ndarray) -> None:
 def estimate_admissibility(
     params: KernelParams, theta: float = 3.0 * math.pi / 4.0, n_samples: int = 256
 ) -> AdmissibilityReport:
-    """Sample the admissibility envelope along both contour rays.
+    """Sample the admissibility envelope along the contour ray arg s = theta.
 
-    Samples |s| log-uniformly over [1e-20, 1e+8] at angles +/-theta.  The
+    Samples |s| log-uniformly over [1e-20, 1e+8] on the upper ray; the
+    kernels are conjugate-symmetric, so |K| on the lower ray is the same.  The
     reported constants follow the envelope split at |s| = 1: c0_hat is
     the raw maximum of |K| inside, cinf_hat the maximum of
     |K(s)| / |s|^(alpha-1) outside.
@@ -153,11 +154,7 @@ def estimate_admissibility(
         raise ConfigurationError("n_samples must be >= 16, got %r" % n_samples)
     radii = np.logspace(_GRID_LOW_DECADE, _GRID_HIGH_DECADE, n_samples)
     a = params.alpha
-    absk = np.zeros(n_samples)
-    for sign in (1.0, -1.0):
-        s = radii * np.exp(sign * 1j * theta)
-        vals = np.abs(eval_kernel(params, s))
-        absk = np.maximum(absk, vals)
+    absk = np.abs(eval_kernel(params, radii * np.exp(1j * theta)))
     small = radii <= 1.0
     large = radii >= 1.0
     c0_hat = float(np.max(absk[small]))

@@ -9,7 +9,7 @@ import pytest
 
 import fracresolvent
 
-from fracresolvent.cli import main
+from fracresolvent.cli import build_parser, main
 from fracresolvent.experiments import CSV_HEADER
 
 SMALL_SWEEP = """
@@ -101,27 +101,53 @@ def test_underresolved_contour_exits_3(tmp_path, capsys, monkeypatch):
     assert "n_nodes" in err
 
 
-def test_probe_caputo_stdout(capsys):
-    assert main(["probe-caputo", "--alpha", "0.5"]) == 0
+def _run_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["run", str(cfg)])
+
+
+def test_cli_surface_is_run_and_demo():
+    """The diagnostics are run modes, not subcommands of their own."""
+    assert "{run,demo}" in build_parser().format_help()
+
+
+def test_probe_caputo_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, "run.mode = caputo\nkernel.alpha = 0.5\n") == 0
     out = capsys.readouterr().out
-    assert "fitted small-|s| slope: -1.0000" in out
+    assert "fitted small-|s| slope -1.0000" in out
     assert "not integrable at the origin" in out
-    assert main(["probe-caputo", "--alpha", "0.5", "--lambda", "2.0"]) == 0
+    assert _run_config(tmp_path, "run.mode = caputo\nkernel.alpha = 0.5\nrun.lambda = 2\n") == 0
     out = capsys.readouterr().out
-    assert "slope: -0.50" in out
+    assert "slope -0.50" in out
     assert "not integrable" not in out
 
 
-def test_probe_caputo_rejects_bad_alpha(capsys):
-    assert main(["probe-caputo", "--alpha", "1.5"]) == 2
+def test_probe_caputo_rejects_bad_alpha(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, "run.mode = caputo\nkernel.alpha = 1.5\n") == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_check_admissible_stdout(capsys):
-    assert main(["check-admissible", "--kernel", "abc", "--alpha", "0.5"]) == 0
+def test_check_admissible_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, "run.mode = admissibility\nkernel.kind = abc\n"
+                                 "kernel.alpha = 0.5\n") == 0
     out = capsys.readouterr().out
     assert "admissible" in out
     assert "c0_hat=" in out and "cinf_hat=" in out and "small_s_exponent=" in out
+
+
+def test_explicit_default_theta_is_checked_like_any_angle(tmp_path, capsys, monkeypatch):
+    """contour.theta = 3pi/4 written out is kept, not widened like an unset angle."""
+    monkeypatch.chdir(tmp_path)
+    text = ("kernel.alpha = 0.85\ncontour.theta = 2.356194490192345\n"
+            "operator.n = 10\nrun.t_count = 3\n")
+    assert _run_config(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "redirection condition" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("gamma", ("0.5", "0"))

@@ -182,6 +182,13 @@ def test_smoothed_norm_refuses_wrong_shape_at_gamma_zero():
         smoothed_norm(make_diagonal([1.0, 2.0]), 0.0, np.array([2.0]))
 
 
+@pytest.mark.parametrize("gamma", (-0.5, 1.0))
+def test_smoothed_norm_refuses_gamma_out_of_range(gamma):
+    """smoothed_norm holds gamma to the [0, 1) that EvolutionConfig enforces."""
+    with pytest.raises(ConfigurationError, match=r"gamma must lie in \[0, 1\)"):
+        smoothed_norm(make_diagonal([0.0, 1.0]), gamma, np.ones(2))
+
+
 def test_smoothing_sup_stable_under_node_doubling():
     """sup_t t^(alpha*gamma) ||A^gamma V(t) u0|| moves < 1% when the rule is refined."""
     op = make_diagonal([0.3, 1.0, 4.0, 9.0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fracresolvent.kernels
 from fracresolvent.errors import BranchCutError, ConfigurationError
 from fracresolvent.kernels import (
     KernelParams,
@@ -105,6 +106,19 @@ def test_c0_stable_under_density_refinement():
     b = estimate_admissibility(params, n_samples=512)
     assert abs(a.c0_hat - b.c0_hat) / a.c0_hat <= 1e-2
     assert abs(a.cinf_hat - b.cinf_hat) / a.cinf_hat <= 1e-2
+
+
+def test_admissibility_samples_one_ray(monkeypatch):
+    """|K| is conjugate-symmetric, so one report evaluates the kernel once."""
+    calls = []
+
+    def counting(params, s):
+        calls.append(np.shape(s))
+        return eval_kernel(params, s)
+
+    monkeypatch.setattr(fracresolvent.kernels, "eval_kernel", counting)
+    estimate_admissibility(KernelParams(kind="w", alpha=0.5, beta=0.8))
+    assert calls == [(256,)]
 
 
 def test_admissibility_argument_validation():
