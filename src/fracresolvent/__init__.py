@@ -55,7 +55,6 @@ from fracresolvent.kernels import (
     KernelParams,
     estimate_admissibility,
     eval_kernel,
-    tabulate_abc_w_ratio,
 )
 from fracresolvent.operators import (
     DiscreteOperator,
@@ -113,7 +112,6 @@ __all__ = [
     "smoothed_apply",
     "smoothed_norm",
     "smoothing_sweep",
-    "tabulate_abc_w_ratio",
 ]
 
 __version__ = "0.1.0"

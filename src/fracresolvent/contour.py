@@ -183,8 +183,8 @@ def build_quadrature(spec: ContourSpec, t: float, tol: float) -> ContourQuadratu
     RefinementNeededError names the count that would.  A tol that the
     rule's roundoff alone exceeds is below its floor.
     """
-    if t <= 0.0:
-        raise ConfigurationError("time scale must be positive, got %r" % t)
+    if not 0.0 < t < math.inf:
+        raise ConfigurationError("time scale must be positive and finite, got %r" % t)
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
     phi, psi = spec.theta - math.pi / 2.0, math.pi - spec.theta

@@ -70,8 +70,8 @@ class EvolutionConfig:
         t = np.asarray(self.times, dtype=np.float64)
         if t.ndim != 1 or t.size == 0:
             raise ConfigurationError("times must be a nonempty 1-d sequence")
-        if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ConfigurationError("times must be strictly increasing and positive")
+        if not np.all(np.isfinite(t)) or t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
+            raise ConfigurationError("times must be finite, strictly increasing and positive")
         self.times = t
         if self.u0 is not None:
             self.u0 = np.asarray(self.u0, dtype=np.float64)
@@ -81,17 +81,10 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """mild_solution's states u(t) and their A^gamma norms at cfg.times.
+    """mild_solution's states u(t) and their A^gamma norms, one row per cfg.times."""
 
-    node_counts counts the upper-half contour nodes of each time's rule,
-    which is the number of shifted solves per inversion; the budget
-    ContourSpec.n_nodes counts both halves.
-    """
-
-    times: np.ndarray
     states: np.ndarray
     smoothed_norms: np.ndarray
-    node_counts: np.ndarray
 
 
 @dataclass
@@ -245,8 +238,6 @@ def mild_solution(
     n_sub = int(n_sub)
     states = np.zeros((len(cfg.times), op.n))
     norms = np.zeros(len(cfg.times))
-    # the node count depends on theta and tol, not on t
-    n_nodes = build_quadrature(cfg.contour, float(cfg.times[0]), cfg.tol).all_nodes().size
     for it, t in enumerate(cfg.times):
         t = float(t)
         u = _inverse_apply(op, cfg, t, cfg.u0, 0)
@@ -260,12 +251,7 @@ def mild_solution(
                 u = u + _inverse_apply(op, cfg, t - j * h, jumps[j], 2)
         states[it] = u
         norms[it] = smoothed_norm(op, cfg.gamma, u)
-    return EvolutionResult(
-        times=np.asarray(cfg.times, dtype=np.float64),
-        states=states,
-        smoothed_norms=norms,
-        node_counts=np.full(len(cfg.times), n_nodes, dtype=np.int64),
-    )
+    return EvolutionResult(states=states, smoothed_norms=norms)
 
 
 def _forcing_at(forcing, tau: float, n: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Config-driven experiment runner: decay sweeps, diagnostic tables, file output.
 
 Configs are flat UTF-8 text, one `section.key = value` per line, with
-'#' comments.  Every key is listed in _KEY_TABLE below; anything else is
+'#' comments.  Every key is listed in _KEY_TABLE below with the run modes
+that read it; any other key, or a key its run.mode does not read, is
 rejected with its line number.  All numeric cross-field constraints are
 re-validated by the upstream dataclasses at build time.
 """
@@ -16,15 +17,8 @@ import numpy as np
 
 from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
 from fracresolvent.errors import ConfigurationError, OutputError
-from fracresolvent.evolution import EvolutionConfig, resolvent_apply, smoothed_norm
-from fracresolvent.kernels import (
-    ABC,
-    CAPUTO_PROBE,
-    W,
-    KernelParams,
-    estimate_admissibility,
-    eval_kernel,
-)
+from fracresolvent.evolution import EvolutionConfig, mild_solution
+from fracresolvent.kernels import ABC, CAPUTO_PROBE, W, KernelParams, estimate_admissibility
 from fracresolvent.operators import (
     BESSEL,
     KIMURA,
@@ -65,10 +59,7 @@ class ExperimentConfig:
     svg_path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                "run.mode must be one of %s, got %r" % (", ".join(MODES), self.mode)
-            )
+        _parse_mode(self.mode)
         if self.t_count < 3:
             raise ConfigurationError("run.t_count must be >= 3, got %r" % self.t_count)
         if not 0.0 < self.t_min < self.t_max:
@@ -132,35 +123,44 @@ def _parse_kernel_kind(v):
     return v
 
 
+def _parse_mode(v):
+    if v not in MODES:
+        raise ConfigurationError("run.mode must be one of %s, got %r" % (", ".join(MODES), v))
+    return v
+
+
+# the modes that read each key; a config setting a key its mode does not read is refused
+_SMOOTHING = ("smoothing",)
+_KERNEL = ("smoothing", "admissibility")
 _KEY_TABLE = {
-    "run.mode": ("mode", str),
-    "operator.kind": ("operator_kind", _parse_operator_kind),
-    "operator.n": ("n", int),
-    "operator.nu": ("nu", float),
-    "operator.r_max": ("r_max", float),
-    "kernel.kind": ("kernel_kind", _parse_kernel_kind),
-    "kernel.alpha": ("alpha", float),
-    "kernel.beta": ("beta", float),
-    "kernel.B": ("b", float),
-    "contour.theta": ("theta", float),
-    "contour.n_nodes": ("n_nodes", int),
-    "contour.tol": ("tol", float),
-    "run.gamma": ("gamma", float),
-    "run.t_min": ("t_min", float),
-    "run.t_max": ("t_max", float),
-    "run.t_count": ("t_count", int),
-    "run.u0": ("u0_spec", str),
-    "run.bump_center": ("bump_center", float),
-    "run.bump_width": ("bump_width", float),
-    "run.lambda": ("lam", float),
-    "output.csv": ("csv_path", str),
-    "output.svg": ("svg_path", str),
+    "run.mode": ("mode", _parse_mode, MODES),
+    "operator.kind": ("operator_kind", _parse_operator_kind, _SMOOTHING),
+    "operator.n": ("n", int, _SMOOTHING),
+    "operator.nu": ("nu", float, _SMOOTHING),
+    "operator.r_max": ("r_max", float, _SMOOTHING),
+    "kernel.kind": ("kernel_kind", _parse_kernel_kind, _KERNEL),
+    "kernel.alpha": ("alpha", float, MODES),
+    "kernel.beta": ("beta", float, _KERNEL),
+    "kernel.B": ("b", float, _KERNEL),
+    "contour.theta": ("theta", float, MODES),
+    "contour.n_nodes": ("n_nodes", int, _SMOOTHING),
+    "contour.tol": ("tol", float, _SMOOTHING),
+    "run.gamma": ("gamma", float, _SMOOTHING),
+    "run.t_min": ("t_min", float, _SMOOTHING),
+    "run.t_max": ("t_max", float, _SMOOTHING),
+    "run.t_count": ("t_count", int, _SMOOTHING),
+    "run.u0": ("u0_spec", str, _SMOOTHING),
+    "run.bump_center": ("bump_center", float, _SMOOTHING),
+    "run.bump_width": ("bump_width", float, _SMOOTHING),
+    "run.lambda": ("lam", float, ("caputo",)),
+    "output.csv": ("csv_path", str, MODES),
+    "output.svg": ("svg_path", str, _SMOOTHING),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value format; reject anything undocumented."""
-    values = {}
+    """Parse the flat key=value format; reject unknown keys and keys run.mode does not read."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,9 +172,10 @@ def parse_config(text: str) -> ExperimentConfig:
         val = val.strip()
         if key not in _KEY_TABLE:
             raise ConfigurationError("line %d: unknown key %r" % (lineno, key))
-        attr, conv = _KEY_TABLE[key]
-        if attr in values:
+        if key in lines:
             raise ConfigurationError("line %d: duplicate key %r" % (lineno, key))
+        attr, conv, _ = _KEY_TABLE[key]
+        lines[key] = lineno
         try:
             values[attr] = conv(val)
             if conv is float and not math.isfinite(values[attr]):
@@ -183,6 +184,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigurationError("line %d: bad value for %r: %s" % (lineno, key, exc))
+    mode = values.get("mode", "smoothing")
+    for key, lineno in lines.items():
+        readers = _KEY_TABLE[key][2]
+        if mode not in readers:
+            raise ConfigurationError("line %d: %s mode does not read %r (read by %s)"
+                                     % (lineno, mode, key, ", ".join(readers)))
     return ExperimentConfig(**values)
 
 
@@ -211,6 +218,15 @@ def _mesh_coordinate(cfg: ExperimentConfig, op: DiscreteOperator) -> tuple[np.nd
 
 
 def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
+    """The run.u0 profile on the mesh, refused when zero at every node (no decay to measure)."""
+    u0 = _initial_profile(cfg, op)
+    if not np.any(u0):
+        raise ConfigurationError("run.u0 %r is zero at every node of the %d-node mesh"
+                                 % (cfg.u0_spec, op.n))
+    return u0
+
+
+def _initial_profile(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
     xi, length = _mesh_coordinate(cfg, op)
     if cfg.u0_spec == "sin_pi_x":
         return np.sin(np.pi * xi / length)
@@ -259,14 +275,12 @@ def build_evolution_config(cfg: ExperimentConfig, u0: np.ndarray) -> EvolutionCo
 def smoothing_sweep(cfg: ExperimentConfig) -> DecayTable:
     """Homogeneous decay sweep: ||A^gamma V(t) u0|| against anchored refs.
 
-    V(t) u0 is always by shifted solves; smoothed_norm picks the norm's route.
+    The norms are those of the unforced mild_solution: V(t) u0 by shifted
+    solves, with smoothed_norm picking the norm's route.
     """
     op = build_operator(cfg)
-    u0 = build_initial_state(cfg, op)
-    evo = build_evolution_config(cfg, u0)
-    norms = np.empty(cfg.t_count)
-    for i, t in enumerate(evo.times):
-        norms[i] = smoothed_norm(op, cfg.gamma, resolvent_apply(op, evo, float(t), u0))
+    evo = build_evolution_config(cfg, build_initial_state(cfg, op))
+    norms = mild_solution(op, evo).smoothed_norms
     t1, n1 = float(evo.times[0]), float(norms[0])
     scale = ANCHOR_SAFETY * n1
     bound_ag = scale * (evo.times / t1) ** (-cfg.alpha * cfg.gamma)
@@ -427,9 +441,7 @@ def run_experiment(config_path) -> int:
         return 0
     kernel = KernelParams(kind=cfg.kernel_kind, alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
     report = estimate_admissibility(kernel, theta=theta)
-    radii = np.logspace(-8, 8, 129)
-    _write_table(cfg.csv_path, "s_abs,k_abs", radii,
-                 np.abs(eval_kernel(kernel, radii * np.exp(1j * theta))))
+    _write_table(cfg.csv_path, "s_abs,k_abs", report.radii, report.abs_k)
     print("%s (c0_hat=%.6g, cinf_hat=%.6g, small_s_exponent=%.4f, worst |s|=%.3g); "
           "wrote %s" % (report.message, report.c0_hat, report.cinf_hat,
                         report.small_s_exponent, abs(report.worst_s), cfg.csv_path))

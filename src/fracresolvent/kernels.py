@@ -71,7 +71,8 @@ class AdmissibilityReport:
     of |K(s)|/|s|^(alpha-1) over |s| >= 1.  passed reflects the envelope
     appropriate to the kind (see estimate_admissibility); worst_s is the
     sample attaining the binding ratio, small_s_exponent the fitted
-    log-log slope of |K| over the two smallest sampled decades.
+    log-log slope of |K| over the two smallest sampled decades.  radii and
+    abs_k are the samples |s| and |K(|s| e^(i theta))| all of these rest on.
     """
 
     c0_hat: float
@@ -80,6 +81,8 @@ class AdmissibilityReport:
     passed: bool
     worst_s: complex
     small_s_exponent: float
+    radii: np.ndarray
+    abs_k: np.ndarray
     message: str = ""
 
 
@@ -195,6 +198,8 @@ def estimate_admissibility(
         passed=passed,
         worst_s=complex(worst_r * np.exp(1j * theta)),
         small_s_exponent=slope,
+        radii=radii,
+        abs_k=absk,
         message=message,
     )
 
@@ -222,21 +227,3 @@ def _grows_at_extreme(radii: np.ndarray, curve: np.ndarray, outer: str) -> bool:
 def _decade_slope(logr, logc, lo, hi) -> float:
     sel = (logr >= lo - 1e-12) & (logr <= hi + 1e-12)
     return float(np.polyfit(logr[sel], logc[sel], 1)[0])
-
-
-def tabulate_abc_w_ratio(
-    alpha: float, b: float = 1.0, theta: float = 3.0 * math.pi / 4.0, n_samples: int = 33
-):
-    """Ratio of the abc multiplier to the w multiplier at beta = 1 along
-    the upper ray.
-
-    The two do not coincide algebraically (at s = 1, abc gives B while
-    w at beta = 1 gives B/(2 - alpha)); this table makes the discrepancy
-    inspectable instead of hiding one kernel behind the other.
-    """
-    abc = KernelParams(kind=ABC, alpha=alpha, b=b)
-    w1 = KernelParams(kind=W, alpha=alpha, beta=1.0, b=b)
-    radii = np.logspace(-4, 4, n_samples)
-    s = radii * np.exp(1j * theta)
-    ratio = eval_kernel(abc, s) / eval_kernel(w1, s)
-    return [(float(r), complex(v)) for r, v in zip(radii, ratio)]

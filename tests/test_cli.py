@@ -150,6 +150,36 @@ def test_explicit_default_theta_is_checked_like_any_angle(tmp_path, capsys, monk
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text, line, mode, key", (
+    (SMALL_SWEEP + "run.lambda = 2\n", 11, "smoothing", "run.lambda"),
+    ("run.mode = caputo\nkernel.alpha = 0.5\nrun.gamma = 0.9\nkernel.kind = w\n"
+     "kernel.beta = 0.3\noperator.n = 7\n", 3, "caputo", "run.gamma"),
+), ids=("smoothing", "caputo"))
+def test_key_the_mode_does_not_read_exits_2(tmp_path, capsys, monkeypatch, text, line, mode, key):
+    """A key that cannot affect the run is refused with its line and the run mode."""
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line %d: %s mode does not read %r" % (line, mode, key))
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text", (
+    "operator.n = 10\nrun.u0 = gaussian_bump\nrun.bump_center = 1000\noutput.svg = g.svg\n",
+    "operator.n = 10\nrun.u0 = zeros.txt\n",
+    "operator.kind = bessel\noperator.n = 1\nrun.u0 = indicator\n",
+), ids=("far-bump", "zeros-file", "bessel-indicator"))
+def test_all_zero_initial_state_exits_2(tmp_path, capsys, monkeypatch, text):
+    """A state with no nonzero node has no decay to measure; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.txt").write_text("0\n" * 10)
+    assert _run_config(tmp_path, text) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: run.u0")
+    assert "zero at every node" in captured.err and captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("gamma", ("0.5", "0"))
 def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gamma):
     """A NaN in a run.u0 file is refused before the sweep, on both routes."""

@@ -141,6 +141,12 @@ def test_build_quadrature_argument_validation():
         invert_scalar(quad, lambda s: 1.0 / s, -1.0)
 
 
+@pytest.mark.parametrize("t", (math.nan, math.inf))
+def test_build_quadrature_refuses_non_finite_time(t):
+    with pytest.raises(ConfigurationError, match="finite"):
+        build_quadrature(POWER_SPEC, t, 1e-8)
+
+
 def test_default_spec_radii_track_alpha_and_tol():
     spec = default_contour_spec(0.5, 1e-8)
     assert spec.theta == DEFAULT_THETA

@@ -1,6 +1,8 @@
 """Config parsing, decay sweeps, probe tables, CSV/SVG emission."""
 
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from fracresolvent.contour import DEFAULT_THETA, build_quadrature, min_theta
 from fracresolvent.errors import ConfigurationError, OutputError
 from fracresolvent.evolution import _clamped_spectrum, check_pairing, scalar_mode_values
 from fracresolvent.experiments import (
+    _KEY_TABLE,
     ANCHOR_SAFETY,
     CSV_HEADER,
     DecayTable,
@@ -27,6 +30,7 @@ from fracresolvent.experiments import (
     run_experiment,
     smoothing_sweep,
 )
+from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
 from fracresolvent.operators import assemble_kimura
 from fracresolvent.svg import render_decay_svg
 
@@ -71,7 +75,6 @@ def test_parse_full_config():
         "run.t_max = 1\n"
         "run.t_count = 5\n"
         "run.u0 = indicator\n"
-        "run.lambda = 0.5\n"
         "output.csv = a.csv\n"
         "output.svg = a.svg\n"
     )
@@ -80,7 +83,7 @@ def test_parse_full_config():
     assert cfg.kernel_kind == "w" and cfg.beta == 0.9 and cfg.b == 2.0
     assert cfg.theta == 2.0 and cfg.n_nodes == 96 and cfg.tol == 1e-6
     assert cfg.gamma == 0.25 and cfg.t_count == 5
-    assert cfg.u0_spec == "indicator" and cfg.lam == 0.5
+    assert cfg.u0_spec == "indicator"
     assert cfg.csv_path == "a.csv" and cfg.svg_path == "a.svg"
 
 
@@ -93,6 +96,33 @@ def test_parse_errors_carry_line_numbers():
         parse_config("kernel.alpha = 0.5\nkernel.alpha = 0.6\n")
     with pytest.raises(ConfigurationError, match="line 1: bad value"):
         parse_config("operator.n = ten\n")
+
+
+@pytest.mark.parametrize("mode, key", (("caputo", "operator.n"), ("caputo", "kernel.kind"),
+                                       ("admissibility", "run.lambda"),
+                                       ("smoothing", "run.lambda")))
+def test_parse_refuses_keys_the_mode_does_not_read(mode, key):
+    value = {"kernel.kind": "w"}.get(key, "2")
+    text = "run.mode = %s\n%s = %s\n" % (mode, key, value)
+    with pytest.raises(ConfigurationError,
+                       match="line 2: %s mode does not read '%s'" % (mode, re.escape(key))):
+        parse_config(text)
+    # the mode may come after the key; the refusal still names the key's line
+    with pytest.raises(ConfigurationError, match="line 1: %s mode" % mode):
+        parse_config("%s = %s\nrun.mode = %s\n" % (key, value, mode))
+
+
+def test_readme_config_table_lists_every_key_with_its_modes():
+    """The README's config table has one row per key group and a 'read by' column."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    rows = [ln.split("|")[1:-1] for ln in section.splitlines() if ln.startswith("| `")]
+    documented = {}
+    for cells in rows:
+        readers = tuple(m.strip() for m in cells[-1].split(","))
+        for key in re.findall(r"`([a-z_]+\.\w+)`", cells[0]):
+            documented[key] = readers
+    assert documented == {key: modes for key, (_, _, modes) in _KEY_TABLE.items()}
 
 
 def test_parse_rejects_off_menu_values():
@@ -387,7 +417,31 @@ def test_run_admissibility_mode(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "c0_hat=" in out and "wrote adm.csv" in out
     lines = (tmp_path / "adm.csv").read_text().splitlines()
-    assert lines[0] == "s_abs,k_abs" and len(lines) == 130
+    assert lines[0] == "s_abs,k_abs" and len(lines) == 257
+    report = estimate_admissibility(KernelParams(kind="w", alpha=0.5, beta=0.8))
+    table = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(table[:, 0], report.radii)
+    assert np.array_equal(table[:, 1], report.abs_k)
+
+
+def test_admissibility_mode_evaluates_the_kernel_once(tmp_path, capsys, monkeypatch):
+    """The written table is the verdict's own sample: one kernel evaluation per run."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def counting(params, s):
+        calls.append(np.shape(s))
+        return eval_kernel(params, s)
+
+    for name, module in list(sys.modules.items()):
+        # every binding of the function, also names imported from kernels
+        if name.startswith("fracresolvent") and getattr(module, "eval_kernel", 0) is eval_kernel:
+            monkeypatch.setattr(module, "eval_kernel", counting)
+    cfg = tmp_path / "adm.cfg"
+    cfg.write_text("run.mode = admissibility\nkernel.kind = w\nkernel.beta = 0.8\n")
+    assert run_experiment(cfg) == 0
+    capsys.readouterr()
+    assert calls == [(256,)]
 
 
 # --- svg ------------------------------------------------------------------------

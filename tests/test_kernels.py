@@ -7,12 +7,7 @@ import pytest
 
 import fracresolvent.kernels
 from fracresolvent.errors import BranchCutError, ConfigurationError
-from fracresolvent.kernels import (
-    KernelParams,
-    estimate_admissibility,
-    eval_kernel,
-    tabulate_abc_w_ratio,
-)
+from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
 
 
 def test_abc_value_at_one():
@@ -117,8 +112,11 @@ def test_admissibility_samples_one_ray(monkeypatch):
         return eval_kernel(params, s)
 
     monkeypatch.setattr(fracresolvent.kernels, "eval_kernel", counting)
-    estimate_admissibility(KernelParams(kind="w", alpha=0.5, beta=0.8))
+    report = estimate_admissibility(KernelParams(kind="w", alpha=0.5, beta=0.8))
     assert calls == [(256,)]
+    assert report.radii.shape == report.abs_k.shape == (256,)
+    assert report.radii[0] == 1e-20 and report.radii[-1] == 1e8
+    assert report.c0_hat == np.max(report.abs_k[report.radii <= 1.0])
 
 
 def test_admissibility_argument_validation():
@@ -127,14 +125,3 @@ def test_admissibility_argument_validation():
         estimate_admissibility(params, theta=math.pi / 3.0)
     with pytest.raises(ConfigurationError):
         estimate_admissibility(params, n_samples=8)
-
-
-def test_abc_w_ratio_table():
-    """The two kernels differ algebraically; the table exposes the ratio."""
-    table = tabulate_abc_w_ratio(0.5, n_samples=33)
-    assert len(table) == 33
-    radii = [r for r, _ in table]
-    assert radii == sorted(radii)
-    # abc/w diverges at small |s| and vanishes at large |s|
-    assert abs(table[0][1]) > 1.0 > abs(table[-1][1])
-    assert all(isinstance(v, complex) for _, v in table)

@@ -24,6 +24,7 @@ from fracresolvent.evolution import (
     resolvent_apply,
     scalar_mode_values,
 )
+from fracresolvent.experiments import _KEY_TABLE, MODES, U0_PROFILES
 from fracresolvent.kernels import KernelParams
 from fracresolvent.operators import assemble_kimura
 
@@ -124,14 +125,25 @@ configs = st.fixed_dictionaries(
         "run.t_max": _numbers(-1.0, 1e3),
         "run.t_count": st.integers(-1, 5).map(str),
         "run.lambda": _numbers(-1.0, 1e3),
+        "run.u0": st.sampled_from(U0_PROFILES + ("no_such_profile",)),
+        "run.bump_center": _numbers(-5.0, 1e3),
+        "run.bump_width": _numbers(-0.5, 5.0),
+        "output.svg": st.sampled_from(("out.svg", "no_dir/out.svg")),
     },
 )
 
 
-@given(configs)
-def test_fuzzed_configs_exit_cleanly(entries):
+@given(configs, st.booleans())
+def test_fuzzed_configs_exit_cleanly(entries, keep_unread):
+    """keep_unread False drops the keys the drawn mode does not read, so that
+    such draws get past the mode's key check."""
+    mode = entries.get("run.mode", "smoothing")
+    if not keep_unread and mode in MODES:
+        entries = {k: v for k, v in entries.items() if mode in _KEY_TABLE[k][2]}
     with tempfile.TemporaryDirectory() as tmp:
         entries = dict(entries, **{"output.csv": str(Path(tmp) / "out.csv")})
+        if "output.svg" in entries:
+            entries["output.svg"] = str(Path(tmp) / entries["output.svg"])
         path = Path(tmp) / "fuzz.cfg"
         path.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
         assert main(["run", str(path)]) in (0, 2, 3, 4)
