@@ -10,7 +10,6 @@ decay rates, admissibility envelopes and sectoriality constants.
 
 from fracresolvent.contour import (
     ContourSpec,
-    SectorSpec,
     angle_condition,
     build_quadrature,
     default_contour_spec,
@@ -82,7 +81,6 @@ __all__ = [
     "NumericalError",
     "OutputError",
     "RefinementNeededError",
-    "SectorSpec",
     "SectorialityReport",
     "SingularMatrixError",
     "angle_condition",

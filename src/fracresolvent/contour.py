@@ -44,17 +44,6 @@ GROWTH_SHARE = 0.35
 
 
 @dataclass
-class SectorSpec:
-    """Sector around the positive real axis containing the spectrum."""
-
-    theta_A: float = DEFAULT_THETA_A
-
-    def __post_init__(self):
-        if not 0.0 < self.theta_A < math.pi / 2.0:
-            raise ConfigurationError("theta_A must lie in (0, pi/2), got %r" % self.theta_A)
-
-
-@dataclass
 class ContourSpec:
     """Angle and node budget of the inversion contour.
 

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fracresolvent.contour import (
+    DEFAULT_THETA_A,
     ContourQuadrature,
     ContourSpec,
     angle_condition,
@@ -97,8 +98,12 @@ class LaplaceReport:
     grid_delta: float
 
 
-def check_pairing(op: DiscreteOperator, cfg: EvolutionConfig) -> None:
-    """Reject kernel/operator pairs the framework cannot drive."""
+def check_pairing(cfg: EvolutionConfig) -> None:
+    """Reject kernel/contour pairs the framework cannot drive.
+
+    Every operator is a symmetric pencil with spectrum in [0, inf), so one
+    sector angle, DEFAULT_THETA_A, serves them all.
+    """
     if cfg.kernel.kind == CAPUTO_PROBE:
         raise ConfigurationError(
             "the probe kernel evaluates the resolvent at the spectral origin, "
@@ -106,11 +111,11 @@ def check_pairing(op: DiscreteOperator, cfg: EvolutionConfig) -> None:
             "diagnostic, not a dynamics"
         )
     alpha = cfg.kernel.alpha
-    if not angle_condition(alpha, cfg.contour.theta, op.sector.theta_A):
+    if not angle_condition(alpha, cfg.contour.theta, DEFAULT_THETA_A):
         raise ConfigurationError(
             "contour angle %g violates the redirection condition for alpha=%g: "
             "need theta >= %g to clear the operator sector"
-            % (cfg.contour.theta, alpha, min_theta(alpha, op.sector.theta_A))
+            % (cfg.contour.theta, alpha, min_theta(alpha))
         )
 
 
@@ -159,24 +164,27 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
 
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """V(t) x by one banded solve per contour node."""
-    check_pairing(op, cfg)
+    check_pairing(cfg)
     x = op.check_vector(np.asarray(x, dtype=np.float64))
-    return _inverse_apply(op, cfg, t, x, 0)
+    return _inverse_apply(op, cfg, t, lambda s: x)
 
 
-def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x, k: int):
-    """Inverse transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1) x at t.
+def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, rhs):
+    """Inverse transform of K(s) (s^(alpha-1) I + A)^(-1) rhs(s) at t.
 
-    k = 0 is V(t) x; k = 1 and k = 2 are its first and second integrals
-    in time, whose extra pole at s = 0 the contour encloses.
+    rhs(s) is the right-hand side at node s: x alone gives V(t) x, and
+    x / s and x / s^2 give its first and second integrals in time, whose
+    extra pole at s = 0 the contour encloses.  rhs is called once, on the
+    nodes as a column, so it broadcasts to one row per node; each node
+    makes one solve.
     """
     s, factor = _node_factors(build_quadrature(cfg.contour, t, cfg.tol), cfg.kernel, t)
-    factor = factor / s**k
     shifts = redirect(s, cfg.kernel.alpha)
+    b = np.broadcast_to(rhs(s[:, None]), (s.size, op.n))
     acc = np.zeros(op.n, dtype=np.complex128)
-    for fj, zj in zip(factor, shifts):
-        # (zj I + A)^{-1} x  ==  -(( -zj) I - A)^{-1} x
-        acc += fj * (-resolve(op, -zj, x))
+    for fj, zj, bj in zip(factor, shifts, b):
+        # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
+        acc -= fj * resolve(op, -zj, bj)
     return 2.0 * np.real(acc)
 
 
@@ -224,15 +232,17 @@ def mild_solution(
         W1(t) f(0) + sum_{j < n_sub} (sigma_j - sigma_{j-1}) W2(t - tau_j),
 
     with sigma_j the slope on piece j, sigma_{-1} = 0, and W_k the inverse
-    transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1).  Only f is
-    approximated, to second order in t / n_sub; the stiff modes' fast
-    transients are integrated through the transform, and every lag is at
-    least t / n_sub.
+    transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1).  The three lag-0
+    terms share one inversion, of the right-hand side
+    u0 + f(0) / s + sigma_0 / s^2 at each node; every later lag is one
+    inversion of (sigma_j - sigma_{j-1}) / s^2.  Only f is approximated,
+    to second order in t / n_sub; the stiff modes' fast transients are
+    integrated through the transform, and every lag is at least t / n_sub.
     """
-    check_pairing(op, cfg)
+    check_pairing(cfg)
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
-    op.check_vector(cfg.u0)
+    u0 = op.check_vector(cfg.u0)
     if int(n_sub) != n_sub or n_sub < 2:
         raise ConfigurationError("n_sub must be an integer >= 2, got %r" % n_sub)
     n_sub = int(n_sub)
@@ -240,15 +250,16 @@ def mild_solution(
     norms = np.zeros(len(cfg.times))
     for it, t in enumerate(cfg.times):
         t = float(t)
-        u = _inverse_apply(op, cfg, t, cfg.u0, 0)
-        if cfg.forcing is not None:
+        if cfg.forcing is None:
+            u = _inverse_apply(op, cfg, t, lambda s: u0)
+        else:
             h = t / n_sub
             f = np.array([_forcing_at(cfg.forcing, j * h, op.n) for j in range(n_sub + 1)])
             # slope jumps sigma_j - sigma_(j-1), with sigma_(-1) = 0
             jumps = np.diff(np.diff(f, axis=0) / h, axis=0, prepend=0.0)
-            u = u + _inverse_apply(op, cfg, t, f[0], 1)
-            for j in range(n_sub):
-                u = u + _inverse_apply(op, cfg, t - j * h, jumps[j], 2)
+            u = _inverse_apply(op, cfg, t, lambda s: u0 + f[0] / s + jumps[0] / s**2)
+            for j in range(1, n_sub):
+                u = u + _inverse_apply(op, cfg, t - j * h, lambda s: jumps[j] / s**2)
         states[it] = u
         norms[it] = smoothed_norm(op, cfg.gamma, u)
     return EvolutionResult(states=states, smoothed_norms=norms)
@@ -290,7 +301,7 @@ def laplace_check(
     lhs.  The 40/lam truncation leaves an e^(-40) tail, far below any
     tolerance in play.
     """
-    check_pairing(op, cfg)
+    check_pairing(cfg)
     if lam <= 0.0:
         raise ConfigurationError("transform frequency must be positive, got %r" % lam)
     if x is None:

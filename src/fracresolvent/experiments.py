@@ -282,6 +282,9 @@ def smoothing_sweep(cfg: ExperimentConfig) -> DecayTable:
     evo = build_evolution_config(cfg, build_initial_state(cfg, op))
     norms = mild_solution(op, evo).smoothed_norms
     t1, n1 = float(evo.times[0]), float(norms[0])
+    if not (math.isfinite(n1) and n1 > 0.0):
+        raise ConfigurationError("run.u0 %r has norm %r at t_min = %g; the anchored bounds "
+                                 "need a positive, finite one" % (cfg.u0_spec, n1, t1))
     scale = ANCHOR_SAFETY * n1
     bound_ag = scale * (evo.times / t1) ** (-cfg.alpha * cfg.gamma)
     bound_g = scale * (evo.times / t1) ** (-cfg.gamma)

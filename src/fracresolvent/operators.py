@@ -11,11 +11,10 @@ system (z M - S) x = M b directly, which keeps complex z cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from fracresolvent.contour import SectorSpec
 from fracresolvent.errors import ConfigurationError, SingularMatrixError
 from fracresolvent.tridiag import (
     EigenDecomposition,
@@ -41,7 +40,6 @@ class DiscreteOperator:
     kind: str
     stiffness: TridiagonalMatrix
     lumped_mass: np.ndarray
-    sector: SectorSpec = field(default_factory=SectorSpec)
 
     def __post_init__(self):
         self.lumped_mass = np.asarray(self.lumped_mass, dtype=np.float64)
@@ -129,7 +127,7 @@ def _assemble_stiffness(edges: np.ndarray, weight, keep: np.ndarray) -> Tridiago
     return TridiagonalMatrix(sub=off, diag=total[keep], sup=off.copy())
 
 
-def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperator:
+def assemble_kimura(n: int) -> DiscreteOperator:
     """Degenerate diffusion on (0,1): form weight x(1-x), mass weight 1/(x(1-x)).
 
     Uniform mesh with h = 1/(n+1), homogeneous Dirichlet at both ends.
@@ -156,17 +154,10 @@ def assemble_kimura(n: int, sector: SectorSpec | None = None) -> DiscreteOperato
                         b[1:] * np.log1p(-y * y) + 2.0 * h * np.arctanh(y)))
     # 1/(x(1-x)) = 1/x + 1/(1-x), and the mesh maps onto itself under x -> 1 - x
     mass = (f + f[::-1]) / h
-    return DiscreteOperator(
-        kind=KIMURA,
-        stiffness=stiff,
-        lumped_mass=mass,
-        sector=sector if sector is not None else SectorSpec(),
-    )
+    return DiscreteOperator(kind=KIMURA, stiffness=stiff, lumped_mass=mass)
 
 
-def assemble_bessel(
-    nu: float, r_max: float, n: int, sector: SectorSpec | None = None
-) -> DiscreteOperator:
+def assemble_bessel(nu: float, r_max: float, n: int) -> DiscreteOperator:
     """Radial diffusion with weight r^(2 nu + 1) on (0, r_max).
 
     Uniform mesh r_j = j h, h = r_max / n.  The origin node is an
@@ -198,17 +189,10 @@ def assemble_bessel(
     rising = _gauss4(edges, lambda x, lo, hi: (x - lo) / h * weight(x))
     falling = _gauss4(edges, lambda x, lo, hi: (hi - x) / h * weight(x))
     mass = np.pad(rising[:-1], (1, 0)) + falling
-    return DiscreteOperator(
-        kind=BESSEL,
-        stiffness=stiff,
-        lumped_mass=mass,
-        sector=sector if sector is not None else SectorSpec(),
-    )
+    return DiscreteOperator(kind=BESSEL, stiffness=stiff, lumped_mass=mass)
 
 
-def make_diagonal(
-    eigenvalues, sector: SectorSpec | None = None
-) -> DiscreteOperator:
+def make_diagonal(eigenvalues) -> DiscreteOperator:
     """Synthetic operator with S = diag(eigenvalues) and identity mass."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
@@ -220,12 +204,7 @@ def make_diagonal(
         )
     k = lam.size
     stiff = TridiagonalMatrix(sub=np.zeros(k - 1), diag=lam.copy(), sup=np.zeros(k - 1))
-    return DiscreteOperator(
-        kind=DIAGONAL,
-        stiffness=stiff,
-        lumped_mass=np.ones(k),
-        sector=sector if sector is not None else SectorSpec(),
-    )
+    return DiscreteOperator(kind=DIAGONAL, stiffness=stiff, lumped_mass=np.ones(k))
 
 
 def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:

@@ -180,6 +180,20 @@ def test_all_zero_initial_state_exits_2(tmp_path, capsys, monkeypatch, text):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("svg", ("output.svg = g.svg\n", ""), ids=("svg", "csv-only"))
+def test_underflowing_initial_state_exits_2(tmp_path, capsys, monkeypatch, svg):
+    """A state whose norms underflow to zero gives no anchor; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    values = ["0"] * 10
+    values[3] = "1e-320"
+    (tmp_path / "tiny.txt").write_text("\n".join(values) + "\n")
+    assert _run_config(tmp_path, "operator.n = 10\nrun.u0 = tiny.txt\n" + svg) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: run.u0 'tiny.txt'")
+    assert "t_min" in captured.err and captured.out == ""
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "g.svg").exists()
+
+
 @pytest.mark.parametrize("gamma", ("0.5", "0"))
 def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gamma):
     """A NaN in a run.u0 file is refused before the sweep, on both routes."""

@@ -8,6 +8,7 @@ from scipy.integrate import quad as adaptive_quad
 from scipy.special import erfc
 
 import fracresolvent.evolution
+import fracresolvent.operators
 from fracresolvent.contour import (
     build_quadrature,
     default_contour_spec,
@@ -108,13 +109,10 @@ def test_probe_kernel_refused():
 
 
 def test_angle_condition_refused():
-    from fracresolvent.contour import SectorSpec
-
-    # alpha = 0.9 leaves (1 - alpha) * theta = 0.236 < theta_A = 0.8
-    op = make_diagonal([1.0], sector=SectorSpec(theta_A=0.8))
+    # alpha = 0.9 leaves (1 - alpha) * 3 pi / 4 = 0.236 < theta_A = pi / 8
     kernel = KernelParams(kind="abc", alpha=0.9)
     with pytest.raises(ConfigurationError, match="redirection"):
-        resolvent_apply(op, cfg_with(kernel=kernel), 1.0, np.ones(1))
+        resolvent_apply(make_diagonal([1.0]), cfg_with(kernel=kernel), 1.0, np.ones(1))
 
 
 def test_shape_mismatch_refused():
@@ -280,6 +278,24 @@ def test_mild_product_rule_order():
     errors = [abs(run(n) - ref) for n in (8, 16, 32)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("forcing, solves", ((lambda tau: np.ones(50), 1920), (None, 30)),
+                         ids=("forced", "free"))
+def test_mild_solve_counts(monkeypatch, forcing, solves):
+    """15 solves per inversion at tol = 1e-8: per output time, one inversion for
+    V(t) u0 and the lag-0 forcing terms together, and one per later lag."""
+    solve = fracresolvent.operators.solve_tridiagonal
+    calls = []
+
+    def counted(m, rhs):
+        calls.append(1)
+        return solve(m, rhs)
+
+    monkeypatch.setattr(fracresolvent.operators, "solve_tridiagonal", counted)
+    cfg = cfg_with(times=(0.1, 1.0), u0=np.ones(50), forcing=forcing)
+    mild_solution(assemble_kimura(50), cfg, n_sub=64)
+    assert len(calls) == solves
 
 
 def test_mild_forcing_failures_are_located():

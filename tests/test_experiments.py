@@ -31,7 +31,6 @@ from fracresolvent.experiments import (
     smoothing_sweep,
 )
 from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
-from fracresolvent.operators import assemble_kimura
 from fracresolvent.svg import render_decay_svg
 
 SWEEP_TEXT = """
@@ -220,7 +219,7 @@ def test_build_evolution_config_widens_default_theta():
     evo = build_evolution_config(ExperimentConfig(alpha=0.85), np.ones(4))
     assert evo.contour.theta == pytest.approx(min_theta(0.85), rel=1e-12)
     assert evo.contour.theta > DEFAULT_THETA
-    check_pairing(assemble_kimura(4), evo)
+    check_pairing(evo)
 
 
 # --- decay tables -------------------------------------------------------------

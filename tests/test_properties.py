@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -24,7 +24,7 @@ from fracresolvent.evolution import (
     resolvent_apply,
     scalar_mode_values,
 )
-from fracresolvent.experiments import _KEY_TABLE, MODES, U0_PROFILES
+from fracresolvent.experiments import _KEY_TABLE, MODES, U0_PROFILES, ExperimentConfig
 from fracresolvent.kernels import KernelParams
 from fracresolvent.operators import assemble_kimura
 
@@ -96,44 +96,60 @@ def test_solve_route_matches_spectral_route(alpha, t):
     assert op.weighted_norm(solved - spectral) / scale <= 1e-9
 
 
-def _numbers(low, high):
-    return st.one_of(
-        st.floats(low, high).map(repr),
-        st.sampled_from(("0", "-1", "nan", "inf", "1e300", "x")),
-    )
+def _floats(low, high):
+    return st.floats(low, high).map(repr)
 
 
-configs = st.fixed_dictionaries(
-    {},
-    optional={
-        "run.mode": st.sampled_from(("smoothing", "caputo", "admissibility", "other")),
-        "operator.kind": st.sampled_from(("kimura", "bessel", "heat")),
-        "operator.n": st.one_of(st.integers(-2, 30).map(str), st.just("2.5")),
-        "operator.nu": _numbers(-1.0, 2.0),
-        "operator.r_max": _numbers(-1.0, 50.0),
-        "kernel.kind": st.sampled_from(("abc", "w", "caputo_probe")),
-        "kernel.alpha": _numbers(-0.5, 1.5),
-        "kernel.beta": _numbers(-0.5, 1.5),
-        "kernel.B": _numbers(-1.0, 3.0),
-        "contour.theta": st.one_of(
-            _numbers(1.0, 3.5), st.sampled_from(("1.57085", "3.1415926"))
-        ),
-        "contour.n_nodes": st.integers(-4, 64).map(str),
-        "contour.tol": _numbers(1e-18, 2.0),
-        "run.gamma": _numbers(-0.5, 1.5),
-        "run.t_min": _numbers(-1e-3, 1.0),
-        "run.t_max": _numbers(-1.0, 1e3),
-        "run.t_count": st.integers(-1, 5).map(str),
-        "run.lambda": _numbers(-1.0, 1e3),
-        "run.u0": st.sampled_from(U0_PROFILES + ("no_such_profile",)),
-        "run.bump_center": _numbers(-5.0, 1e3),
-        "run.bump_width": _numbers(-0.5, 5.0),
-        "output.svg": st.sampled_from(("out.svg", "no_dir/out.svg")),
-    },
-)
+# a run.u0 file holding the subnormal 1e-320 at every node: its norms underflow to zero
+SUBNORMAL_U0 = "subnormal.txt"
+# a value each key's parser accepts
+_VALID = {
+    "run.mode": st.sampled_from(MODES),
+    "operator.kind": st.sampled_from(("kimura", "bessel")),
+    "operator.n": st.integers(1, 30).map(str),
+    "operator.nu": _floats(-0.45, 2.0),
+    "operator.r_max": _floats(0.5, 50.0),
+    "kernel.kind": st.sampled_from(("abc", "w", "caputo_probe")),
+    "kernel.alpha": _floats(0.05, 0.95),
+    "kernel.beta": _floats(0.05, 1.0),
+    "kernel.B": _floats(0.1, 3.0),
+    "contour.theta": _floats(1.6, 3.1),
+    "contour.n_nodes": st.integers(8, 64).map(str),
+    "contour.tol": st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e)),
+    "run.gamma": _floats(0.0, 0.95),
+    "run.t_min": _floats(1e-4, 0.5),
+    "run.t_max": _floats(1.0, 1e3),
+    "run.t_count": st.integers(3, 5).map(str),
+    "run.lambda": _floats(0.0, 1e3),
+    "run.u0": st.sampled_from(U0_PROFILES + (SUBNORMAL_U0,)),
+    "run.bump_center": _floats(-5.0, 1e3),
+    "run.bump_width": _floats(0.01, 5.0),
+    "output.svg": st.just("out.svg"),
+}
+# refused values: these for any key, and a few of a key's own
+_BAD = ("0", "-1", "nan", "inf", "1e300", "x")
+_BAD_FOR = {
+    "run.mode": ("other",),
+    "operator.kind": ("heat",),
+    "operator.n": ("2.5",),
+    "contour.theta": ("1.57085", "3.1415926"),
+    "run.u0": ("no_such_profile",),
+    "output.svg": ("no_dir/out.svg",),
+}
 
 
-@given(configs, st.booleans())
+@st.composite
+def configs(draw):
+    """Valid values for a subset of the keys, with at most one of them corrupted."""
+    entries = draw(st.fixed_dictionaries({}, optional=_VALID))
+    if entries and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(entries)))
+        entries[key] = draw(st.sampled_from(_BAD + _BAD_FOR.get(key, ())))
+    return entries
+
+
+@example({"operator.n": "10", "run.u0": SUBNORMAL_U0, "output.svg": "out.svg"}, True)
+@given(configs(), st.booleans())
 def test_fuzzed_configs_exit_cleanly(entries, keep_unread):
     """keep_unread False drops the keys the drawn mode does not read, so that
     such draws get past the mode's key check."""
@@ -144,6 +160,10 @@ def test_fuzzed_configs_exit_cleanly(entries, keep_unread):
         entries = dict(entries, **{"output.csv": str(Path(tmp) / "out.csv")})
         if "output.svg" in entries:
             entries["output.svg"] = str(Path(tmp) / entries["output.svg"])
+        if entries.get("run.u0") == SUBNORMAL_U0:
+            entries["run.u0"] = str(Path(tmp) / SUBNORMAL_U0)
+        n = entries.get("operator.n", str(ExperimentConfig().n))
+        (Path(tmp) / SUBNORMAL_U0).write_text("1e-320\n" * (int(n) if n.isdigit() else 1))
         path = Path(tmp) / "fuzz.cfg"
         path.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
         assert main(["run", str(path)]) in (0, 2, 3, 4)
