@@ -15,7 +15,6 @@ from fracresolvent.contour import (
     default_contour_spec,
     invert_scalar,
     min_theta,
-    redirect,
 )
 from fracresolvent.errors import (
     ConfigurationError,
@@ -54,6 +53,7 @@ from fracresolvent.kernels import (
     KernelParams,
     estimate_admissibility,
     eval_kernel,
+    redirect,
 )
 from fracresolvent.operators import (
     DiscreteOperator,

@@ -23,13 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from fracresolvent.errors import (
-    BranchCutError,
-    ConfigurationError,
-    EvaluationError,
-    RefinementNeededError,
-)
-from fracresolvent.kernels import principal_power
+from fracresolvent.errors import ConfigurationError, EvaluationError, RefinementNeededError
+from fracresolvent.kernels import redirect  # re-exported; kernels.py is its home
 
 DEFAULT_THETA = 3.0 * math.pi / 4.0
 DEFAULT_THETA_A = math.pi / 8.0
@@ -93,9 +88,6 @@ class ContourQuadrature:
     def all_nodes(self) -> np.ndarray:
         return self.nodes
 
-    def all_weights(self) -> np.ndarray:
-        return self.weights
-
 
 def min_theta(alpha: float, theta_A: float = DEFAULT_THETA_A) -> float:
     """Smallest contour angle compatible with the redirection condition."""
@@ -118,24 +110,24 @@ def default_contour_spec(
     tol: float = 1e-8,
     n_nodes: int = 128,
     theta: float | None = None,
-    theta_A: float = DEFAULT_THETA_A,
 ) -> ContourSpec:
     """Contour spec for kernel order alpha.
 
     theta defaults to 3 pi / 4, pushed out when the redirection condition
-    demands more.  tol is validated but no longer shapes the spec: the
-    tolerance of a run is passed to build_quadrature, which sizes the rule.
+    at theta_A = DEFAULT_THETA_A demands more.  tol is validated but no
+    longer shapes the spec: the tolerance of a run is passed to
+    build_quadrature, which sizes the rule.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
     if theta is None:
-        theta = max(DEFAULT_THETA, min_theta(alpha, theta_A))
+        theta = max(DEFAULT_THETA, min_theta(alpha))
         if theta >= math.pi:
             raise ConfigurationError(
                 "no contour angle below pi satisfies (1-alpha)*theta >= theta_A "
-                "for alpha=%g, theta_A=%g" % (alpha, theta_A)
+                "for alpha=%g, theta_A=%g" % (alpha, DEFAULT_THETA_A)
             )
     return ContourSpec(theta=theta, n_nodes=n_nodes)
 
@@ -228,8 +220,7 @@ def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
     """
     if t <= 0.0:
         raise ConfigurationError("evaluation time must be positive, got %r" % t)
-    s = quad.all_nodes()
-    w = quad.all_weights()
+    s, w = quad.nodes, quad.weights
     vals = _eval_on_nodes(f, s)
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -241,23 +232,3 @@ def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
             index=i,
         )
     return float(2.0 * np.real(np.sum(w * np.exp(s * t) * vals)))
-
-
-def redirect(s, alpha: float):
-    """Principal-branch spectral redirection s -> s^(alpha-1).
-
-    Inputs on the branch cut (-inf, 0] are rejected.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
-    arr = np.asarray(s, dtype=np.complex128)
-    on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
-    if np.any(on_cut):
-        raise BranchCutError(
-            "redirection undefined on the branch cut (-inf, 0]: %r"
-            % arr[on_cut].flat[0]
-        )
-    out = principal_power(arr, alpha - 1.0)
-    if np.isscalar(s) or arr.ndim == 0:
-        return complex(out)
-    return out

@@ -30,7 +30,6 @@ from fracresolvent.contour import (
     angle_condition,
     build_quadrature,
     min_theta,
-    redirect,
 )
 from fracresolvent.errors import (
     ConfigurationError,
@@ -38,13 +37,15 @@ from fracresolvent.errors import (
     NumericalError,
     RefinementNeededError,
 )
-from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel
+from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel, redirect
 from fracresolvent.operators import DiscreteOperator, resolve
 from fracresolvent.tridiag import EIGENVALUE_CLAMP
 
 DEFAULT_CONV_SUBINTERVALS = 64
 LAPLACE_T_MIN = 1e-6
 LAPLACE_TAIL_FACTOR = 40.0
+LAPLACE_TOL = 1e-3
+LAPLACE_POINTS_PER_DECADE = 48
 
 
 def _check_gamma(gamma: float) -> None:
@@ -54,7 +55,7 @@ def _check_gamma(gamma: float) -> None:
 
 @dataclass
 class EvolutionConfig:
-    """Everything a run needs besides the operator itself."""
+    """Everything a run needs besides the operator; made only with a usable kernel/angle pair."""
 
     kernel: KernelParams
     contour: ContourSpec
@@ -78,6 +79,7 @@ class EvolutionConfig:
             self.u0 = np.asarray(self.u0, dtype=np.float64)
         if self.forcing is not None and not callable(self.forcing):
             raise ConfigurationError("forcing must be callable or None")
+        check_pairing(self)
 
 
 @dataclass
@@ -101,8 +103,9 @@ class LaplaceReport:
 def check_pairing(cfg: EvolutionConfig) -> None:
     """Reject kernel/contour pairs the framework cannot drive.
 
-    Every operator is a symmetric pencil with spectrum in [0, inf), so one
-    sector angle, DEFAULT_THETA_A, serves them all.
+    EvolutionConfig calls it when it is made.  Every operator is a
+    symmetric pencil with spectrum in [0, inf), so one sector angle,
+    DEFAULT_THETA_A, serves them all.
     """
     if cfg.kernel.kind == CAPUTO_PROBE:
         raise ConfigurationError(
@@ -136,8 +139,8 @@ def scalar_mode_values(
 
 def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t: float):
     """The contour nodes s and the factors w e^(st) K(s) every inversion shares."""
-    s = quad.all_nodes()
-    return s, quad.all_weights() * np.exp(s * t) * eval_kernel(kernel, s)
+    s = quad.nodes
+    return s, quad.weights * np.exp(s * t) * eval_kernel(kernel, s)
 
 
 def _require_psd(op: DiscreteOperator) -> None:
@@ -164,7 +167,6 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
 
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """V(t) x by one banded solve per contour node."""
-    check_pairing(cfg)
     x = op.check_vector(np.asarray(x, dtype=np.float64))
     return _inverse_apply(op, cfg, t, lambda s: x)
 
@@ -239,7 +241,6 @@ def mild_solution(
     to second order in t / n_sub; the stiff modes' fast transients are
     integrated through the transform, and every lag is at least t / n_sub.
     """
-    check_pairing(cfg)
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
     u0 = op.check_vector(cfg.u0)
@@ -287,21 +288,18 @@ def laplace_check(
     cfg: EvolutionConfig,
     lam: float,
     x=None,
-    tol: float = 1e-3,
-    points_per_decade: int = 48,
 ) -> LaplaceReport:
     """Verify the transform identity at frequency lam > 0.
 
     lhs integrates e^(-lam t) V(t) x over a log-spaced grid on
     [1e-6, 40/lam] (trapezoid in log t), with the [0, 1e-6] sliver taken
-    as a plateau rectangle; doubling the grid density must move lhs by
-    less than tol/2 or a refinement error is raised.  rhs is
-    K(lam) (lam^(alpha-1) I + A)^(-1) x through the real banded solve,
-    an entirely separate code path from the spectral evaluation used for
-    lhs.  The 40/lam truncation leaves an e^(-40) tail, far below any
-    tolerance in play.
+    as a plateau rectangle; doubling the grid density from
+    LAPLACE_POINTS_PER_DECADE must move lhs by less than LAPLACE_TOL / 2
+    or a refinement error is raised.  rhs is K(lam) (lam^(alpha-1) I + A)^(-1) x
+    through the real banded solve, an entirely separate code path from the
+    spectral evaluation used for lhs.  The 40/lam truncation leaves an
+    e^(-40) tail, far below any tolerance in play.
     """
-    check_pairing(cfg)
     if lam <= 0.0:
         raise ConfigurationError("transform frequency must be positive, got %r" % lam)
     if x is None:
@@ -310,14 +308,14 @@ def laplace_check(
         raise ConfigurationError("laplace_check needs a vector: pass x or set u0")
     x = op.check_vector(np.asarray(x, dtype=np.float64))
     t_max = LAPLACE_TAIL_FACTOR / lam
-    coarse = _transform_integral(op, cfg, lam, x, t_max, points_per_decade)
-    fine = _transform_integral(op, cfg, lam, x, t_max, 2 * points_per_decade)
+    coarse = _transform_integral(op, cfg, lam, x, t_max, LAPLACE_POINTS_PER_DECADE)
+    fine = _transform_integral(op, cfg, lam, x, t_max, 2 * LAPLACE_POINTS_PER_DECADE)
     scale = max(op.weighted_norm(fine), 1e-300)
     grid_delta = op.weighted_norm(fine - coarse) / scale
-    if grid_delta > 0.5 * tol:
+    if grid_delta > 0.5 * LAPLACE_TOL:
         raise RefinementNeededError(
             "time-grid doubling moved the transform by %.3e relative " % grid_delta
-            + "(budget %.1e)" % (0.5 * tol),
+            + "(budget %.1e)" % (0.5 * LAPLACE_TOL),
             achieved=grid_delta,
         )
     shift = redirect(complex(lam, 0.0), cfg.kernel.alpha)

@@ -18,7 +18,14 @@ import numpy as np
 from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
 from fracresolvent.errors import ConfigurationError, OutputError
 from fracresolvent.evolution import EvolutionConfig, mild_solution
-from fracresolvent.kernels import ABC, CAPUTO_PROBE, W, KernelParams, estimate_admissibility
+from fracresolvent.kernels import (
+    ABC,
+    CAPUTO_PROBE,
+    W,
+    KernelParams,
+    _decade_slope,
+    estimate_admissibility,
+)
 from fracresolvent.operators import (
     BESSEL,
     KIMURA,
@@ -30,6 +37,8 @@ from fracresolvent.operators import (
 CSV_HEADER = "t,norm,bound_alpha_gamma,bound_gamma,local_exponent"
 ANCHOR_SAFETY = 1.05
 U0_PROFILES = ("sin_pi_x", "gaussian_bump", "indicator")
+# caputo_probe's radii: 8 a decade over [1e-8, 1e-2], where |s^(alpha-1)| <= 1e8
+PROBE_RADII = np.logspace(-8.0, -2.0, 49)
 MODES = ("smoothing", "caputo", "admissibility")
 
 
@@ -308,9 +317,9 @@ def local_exponent(table: DecayTable) -> DecayTable:
     logt = np.log(t)
     with np.errstate(divide="ignore"):
         logn = np.where(n > 0.0, np.log(np.maximum(n, 1e-300)), -np.inf)
-    for i in range(1, table.n_rows - 1):
-        if np.isfinite(logn[i + 1]) and np.isfinite(logn[i - 1]):
-            expo[i] = -(logn[i + 1] - logn[i - 1]) / (logt[i + 1] - logt[i - 1])
+    # the rows whose two neighbours both have a finite log
+    i = np.flatnonzero(np.isfinite(logn[2:]) & np.isfinite(logn[:-2])) + 1
+    expo[i] = -(logn[i + 1] - logn[i - 1]) / (logt[i + 1] - logt[i - 1])
     return replace(table, local_exponent=expo)
 
 
@@ -321,14 +330,14 @@ class ProbeResult:
     slope: float
 
 
-def caputo_probe(alpha: float, lam: float = 0.0, theta: float = DEFAULT_THETA,
-                 radii=None) -> ProbeResult:
+def caputo_probe(alpha: float, lam: float = 0.0, theta: float = DEFAULT_THETA) -> ProbeResult:
     """Tabulate g(s) = |s^(alpha-1)/(s^alpha + lam)| along the ray arg s = theta.
 
     This is the modulus the constant-order inversion integrand carries
     when 0 is in the spectrum (lam = 0): it diverges like |s|^(-1), so
-    the inversion integral cannot converge near the origin.  The fitted
-    slope is least squares over the two smallest sampled decades.
+    the inversion integral cannot converge near the origin.  g is sampled
+    at PROBE_RADII; the fitted slope is least squares over its two
+    smallest decades.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
@@ -336,24 +345,11 @@ def caputo_probe(alpha: float, lam: float = 0.0, theta: float = DEFAULT_THETA,
         raise ConfigurationError("lambda must be nonnegative, got %r" % lam)
     if not 0.0 <= theta < math.pi:
         raise ConfigurationError("theta must lie in [0, pi), got %r" % theta)
-    if radii is None:
-        radii = np.logspace(-8.0, -2.0, 49)
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1 or radii.size < 8 or np.any(radii <= 0.0):
-        raise ConfigurationError("radii must be a positive 1-d grid with >= 8 points")
-    radii = np.sort(radii)
-    if radii[-1] > 1.0 + 1e-12:
-        raise ConfigurationError("probe radii must stay at or below |s| = 1")
-    if math.log10(radii[-1] / radii[0]) < 6.0 - 1e-9:
-        raise ConfigurationError("probe radii must span at least 6 decades")
-    s = radii * np.exp(1j * theta)
-    with np.errstate(all="ignore"):
-        g = np.abs(s ** (alpha - 1.0) / (s**alpha + lam))
-    if not np.all(np.isfinite(g)):
-        raise ConfigurationError("probe integrand overflowed on this grid")
-    sel = radii <= radii[0] * 100.0
-    slope = float(np.polyfit(np.log10(radii[sel]), np.log10(g[sel]), 1)[0])
-    return ProbeResult(radii=radii, values=g, slope=slope)
+    s = PROBE_RADII * np.exp(1j * theta)
+    g = np.abs(s ** (alpha - 1.0) / (s**alpha + lam))
+    logr = np.log10(PROBE_RADII)
+    slope = _decade_slope(logr, np.log10(g), logr[0], logr[0] + 2.0)
+    return ProbeResult(radii=PROBE_RADII.copy(), values=g, slope=slope)
 
 
 # --- output -----------------------------------------------------------------

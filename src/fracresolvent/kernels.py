@@ -93,19 +93,35 @@ def principal_power(s: np.ndarray, p: float) -> np.ndarray:
     return r**p * np.exp(1j * p * phi)
 
 
-def eval_kernel(params: KernelParams, s):
-    """Evaluate the multiplier at points off the branch cut.
+def redirect(s, alpha: float):
+    """Principal-branch spectral redirection s -> s^(alpha-1).
 
-    Accepts scalars or arrays; principal-branch powers throughout.
+    Inputs on the branch cut (-inf, 0] are rejected.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
     arr = np.asarray(s, dtype=np.complex128)
     on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
     if np.any(on_cut):
         raise BranchCutError(
-            "kernel undefined on the branch cut (-inf, 0]: %r" % arr[on_cut].flat[0]
+            "redirection undefined on the branch cut (-inf, 0]: %r"
+            % arr[on_cut].flat[0]
         )
+    out = principal_power(arr, alpha - 1.0)
+    if np.isscalar(s) or arr.ndim == 0:
+        return complex(out)
+    return out
+
+
+def eval_kernel(params: KernelParams, s):
+    """Evaluate the multiplier at points off the branch cut.
+
+    Accepts scalars or arrays; principal-branch powers throughout, with
+    s^(alpha-1) and the branch-cut refusal taken from redirect.
+    """
+    arr = np.asarray(s, dtype=np.complex128)
     a = params.alpha
-    salpham1 = principal_power(arr, a - 1.0)
+    salpham1 = redirect(arr, a)
     if params.kind == ABC:
         c = a / (1.0 - a)
         denom = principal_power(arr, a) + c
@@ -165,10 +181,8 @@ def estimate_admissibility(
     cinf_hat = float(np.max(ratio_large))
 
     # fitted small-|s| slope of log|K| over the two smallest decades
-    fit = radii <= radii[0] * 100.0
-    slope = float(
-        np.polyfit(np.log10(radii[fit]), np.log10(np.maximum(absk[fit], 1e-300)), 1)[0]
-    )
+    logr = np.log10(radii)
+    slope = _decade_slope(logr, np.log10(np.maximum(absk, 1e-300)), logr[0], logr[0] + 2.0)
 
     if params.kind == CAPUTO_PROBE:
         curve_small = absk[small]
@@ -225,5 +239,6 @@ def _grows_at_extreme(radii: np.ndarray, curve: np.ndarray, outer: str) -> bool:
 
 
 def _decade_slope(logr, logc, lo, hi) -> float:
+    """Least-squares slope of logc against logr over the samples with lo <= logr <= hi."""
     sel = (logr >= lo - 1e-12) & (logr <= hi + 1e-12)
     return float(np.polyfit(logr[sel], logc[sel], 1)[0])

@@ -31,6 +31,9 @@ DIAGONAL = "diagonal"
 # spectrum of the pencil is real; "real" z means within this strip
 _AXIS_GUARD = 1e-12
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+# sectoriality_check's sample radii and number of rays
+_SECTOR_RADII = np.logspace(0.0, 6.0, 25)
+_SECTOR_ANGLES = 9
 
 
 @dataclass
@@ -74,10 +77,9 @@ class DiscreteOperator:
         return self._eig
 
     def lowest_eigenvalue(self) -> float:
-        """Smallest eigenvalue of A~ (cached); by bisection if A~ is not decomposed."""
+        """Smallest eigenvalue of A~ by bisection (cached)."""
         if self._lam_min is None:
-            self._lam_min = (float(self._eig.eigenvalues[0]) if self._eig is not None
-                             else lowest_eigenvalue(self._symmetrized()))
+            self._lam_min = lowest_eigenvalue(self._symmetrized())
         return self._lam_min
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
@@ -241,36 +243,26 @@ class SectorialityReport:
     worst_z: complex
 
 
-def sectoriality_check(
-    op: DiscreteOperator,
-    theta: float,
-    radii=None,
-    n_angles: int = 9,
-) -> SectorialityReport:
+def sectoriality_check(op: DiscreteOperator, theta: float) -> SectorialityReport:
     """Estimate sup |z| ||(zI - A)^{-1}|| over sampled z outside angle theta.
 
     For the symmetric pencil the resolvent norm equals 1/dist(z, spectrum)
     exactly, so the estimate is a pure spectral-distance computation.
-    Sampled z = rho e^{i theta'} with theta' in [theta, pi] and rho >= 1;
-    the conjugate ray gives identical distances to the real spectrum and
-    is not re-sampled.  The geometric bound is 1/sin(pi - theta);
-    passed says the estimate is finite and at or below it.
+    Sampled z = rho e^{i theta'} on the _SECTOR_ANGLES rays theta' in
+    [theta, pi] at the _SECTOR_RADII rho in [1, 1e6]; the conjugate ray
+    gives identical distances to the real spectrum and is not re-sampled.
+    The geometric bound is 1/sin(pi - theta); passed says the estimate is
+    finite and at or below it.
     """
     if not math.pi / 2.0 < theta < math.pi:
         raise ConfigurationError("theta must lie in (pi/2, pi), got %r" % theta)
-    if radii is None:
-        radii = np.logspace(0.0, 6.0, 25)
-    radii = np.asarray(radii, dtype=np.float64)
-    radii = radii[radii >= 1.0]
-    if radii.size == 0:
-        raise ConfigurationError("no sample radii >= 1 supplied")
     lam = op.eigensystem().eigenvalues
     m_hat = 0.0
     worst = complex(0.0)
-    for ang in np.linspace(theta, math.pi, n_angles):
-        zs = radii * np.exp(1j * ang)
+    for ang in np.linspace(theta, math.pi, _SECTOR_ANGLES):
+        zs = _SECTOR_RADII * np.exp(1j * ang)
         dist = np.min(np.abs(zs[:, None] - lam[None, :]), axis=1)
-        ratio = radii / dist
+        ratio = _SECTOR_RADII / dist
         i = int(np.argmax(ratio))
         if ratio[i] > m_hat:
             m_hat = float(ratio[i])

@@ -10,6 +10,7 @@ from scipy.special import erfc
 import fracresolvent.evolution
 import fracresolvent.operators
 from fracresolvent.contour import (
+    ContourSpec,
     build_quadrature,
     default_contour_spec,
     invert_scalar,
@@ -113,6 +114,14 @@ def test_angle_condition_refused():
     kernel = KernelParams(kind="abc", alpha=0.9)
     with pytest.raises(ConfigurationError, match="redirection"):
         resolvent_apply(make_diagonal([1.0]), cfg_with(kernel=kernel), 1.0, np.ones(1))
+
+
+def test_config_refuses_unusable_pairing_when_made():
+    """The pairing check runs once, when the config is made, before any operation."""
+    with pytest.raises(ConfigurationError, match="diagnostic"):
+        EvolutionConfig(kernel=KernelParams(kind="caputo_probe", alpha=0.5), contour=BASE_SPEC)
+    with pytest.raises(ConfigurationError, match="redirection"):
+        EvolutionConfig(kernel=KernelParams(kind="abc", alpha=0.9), contour=ContourSpec())
 
 
 def test_shape_mismatch_refused():

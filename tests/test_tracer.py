@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds and counts the package's layers.
+
+perfbench/tracer.py wraps public functions by name; a refactor that
+renames one, or stops calling it, would otherwise surface only in a
+traced benchmark run.  install() rebinds module attributes for the rest
+of the process, so the traced run happens in a subprocess.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import numpy as np
+from tracer import Tracer, install
+
+tracer = Tracer()
+install(tracer)
+from fracresolvent import evolution
+from fracresolvent.contour import default_contour_spec
+from fracresolvent.kernels import KernelParams
+from fracresolvent.operators import assemble_kimura
+
+op = assemble_kimura(20)
+cfg = evolution.EvolutionConfig(
+    kernel=KernelParams(kind="abc", alpha=0.5), contour=default_contour_spec(0.5),
+    times=(0.5,), u0=np.ones(20), forcing=lambda tau: np.ones(20),
+)
+tracer.counters.clear()
+evolution.mild_solution(op, cfg, n_sub=4)
+print(json.dumps(dict(tracer.counters)))
+"""
+
+
+def test_tracer_counts_a_forced_mild_solution():
+    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    counters = json.loads(done.stdout.strip().splitlines()[-1])
+    # one lag-0 inversion and three later lags, 15 nodes each at tol = 1e-8
+    assert counters["tridiag.solve_tridiagonal.calls"] == 60
+    assert counters["operators.resolve.calls"] == 60
+    assert counters["contour.build_quadrature.calls"] == 4
+    assert counters["contour.build_quadrature.useful"] == 4
+    assert counters["kernels.eval_kernel.calls"] == 4
+    assert counters["evolution.mild_solution.calls"] == 1
