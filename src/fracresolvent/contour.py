@@ -1,14 +1,16 @@
 """Hyperbolic contour quadrature for Laplace inversion.
 
-The contour is the hyperbola s(u) = mu (1 + sin(i u - phi)) / t, u real,
+The contour is the hyperbola s(u) = mu (1 + sin(i u - phi)) / t0, u real,
 phi = theta - pi/2 (Weideman & Trefethen 2007, Math. Comp. 76;
 Lopez-Fernandez & Palencia 2004, Appl. Numer. Math. 51).  Its asymptotes
 are the rays at +/-theta, so the redirection gate on theta judges the
-contour that is built.  It crosses the positive axis at mu (1 - sin phi) / t
+contour that is built.  It crosses the positive axis at mu (1 - sin phi) / t0
 and runs upwards, so F(s) = 1/s inverts to +1.  The midpoint rule
 u_k = (k + 1/2) h takes the smallest node count whose a-priori error bound
 meets the tolerance, with mu and h in closed form from that bound; nothing
-is fitted or searched.
+is fitted or searched.  The contour depends on t only through the scale
+t0, so a rule bounded over a window [t0, t1] serves every time in it
+(Weideman & Trefethen, sec. 4).
 
 Conjugate symmetry is exploited throughout: only upper-half nodes are
 stored and results are assembled as 2 Re(sum w_j e^(s_j t) f(s_j)).
@@ -36,9 +38,11 @@ STRIP_FRACTION = 0.8
 # share of the strip exponent 2 pi d / h that the growth of e^(s t) on the
 # strip may use up (the theta of Weideman & Trefethen); the rest is the rate
 GROWTH_SHARE = 0.35
+# a time window spans at most this ratio of its last time to its first
+WINDOW_RATIO = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContourSpec:
     """Angle and node budget of the inversion contour.
 
@@ -61,7 +65,7 @@ class ContourSpec:
             )
         if int(self.n_nodes) != self.n_nodes or self.n_nodes < 8:
             raise ConfigurationError("n_nodes must be an integer >= 8, got %r" % self.n_nodes)
-        self.n_nodes = int(self.n_nodes)
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
         if not 0.0 < self.r_min < 1.0 < self.r_max:
             raise ConfigurationError(
                 "radial truncations must satisfy 0 < r_min < 1 < r_max, got %r, %r"
@@ -74,7 +78,7 @@ class ContourSpec:
 
 @dataclass
 class ContourQuadrature:
-    """Discretized contour at a fixed time scale.
+    """Discretized contour at the time scale t0 of its window.
 
     nodes holds the upper half of the hyperbola, outwards from its vertex
     on the positive real axis.  Weights absorb the 1/(2 pi i) prefactor,
@@ -132,44 +136,76 @@ def default_contour_spec(
     return ContourSpec(theta=theta, n_nodes=n_nodes)
 
 
-def _hyperbola_rule(phi: float, psi: float, tol: float) -> tuple[int, float, float, float]:
-    """(M, mu, h, roundoff bound) of the midpoint rule at t = 1, psi = pi/2 - phi.
+def _hyperbola_rule(phi: float, psi: float, tol: float,
+                    ratio: float) -> tuple[int, float, float, float]:
+    """(M, mu, h, roundoff bound) of the midpoint rule for t in [1, ratio], psi = pi/2 - phi.
 
-    Bounds for a unit-size integrand (Weideman & Trefethen 2007, sec. 3):
-    discretisation on the strip |Im u| <= d, e^(mu c - 2 pi d / h) with
+    Bounds for a unit-size integrand (Weideman & Trefethen 2007, secs. 3-4):
+    discretisation on the strip |Im u| <= d, e^(ratio mu c - 2 pi d / h) with
     c = 1 - sin(phi - d); truncation at u = a = M h, e^(mu (1 - sin phi cosh a));
-    roundoff, eps e^(mu (1 - sin phi)).  mu spends GROWTH_SHARE of the
-    exponent 2 pi d / h, and a makes the truncation equal the discretisation
-    error, so both fall like e^(-rate M) and M is the smallest count that
-    takes each to tol / 3.  Written in psi so that theta near pi keeps its
-    digits.
+    roundoff, eps e^(ratio mu (1 - sin phi)); each at its worst t.  mu spends
+    GROWTH_SHARE of the exponent 2 pi d / h, and a makes the truncation
+    equal the discretisation error, so both fall like e^(-rate M) and M is
+    the smallest count that takes each to tol / 3.  Written in psi so that
+    theta near pi keeps its digits.
     """
     d = STRIP_FRACTION * min(phi, psi)
     c = 2.0 * math.sin((psi + d) / 2.0) ** 2
     c0 = 2.0 * math.sin(psi / 2.0) ** 2
     g = GROWTH_SHARE
-    x = ((1.0 - g) / g * c + c0) / math.sin(phi)  # cosh(a) - 1
+    x = ((1.0 - g) / g * (ratio * c) + c0) / math.sin(phi)  # cosh(a) - 1
     a = math.log1p(x + math.sqrt(x * (2.0 + x)))
     rate = (1.0 - g) * 2.0 * math.pi * d / a
     m = math.ceil(math.log(3.0 / tol) / rate)
-    mu = g * 2.0 * math.pi * d * m / (a * c)
-    return m, mu, a / m, np.finfo(float).eps * math.exp(mu * c0)
+    mu = g * 2.0 * math.pi * d * m / (a * (ratio * c))
+    return m, mu, a / m, np.finfo(float).eps * math.exp(ratio * mu * c0)
 
 
-def build_quadrature(spec: ContourSpec, t: float, tol: float) -> ContourQuadrature:
-    """Discretize the hyperbola at time scale t for tolerance tol.
+def check_times(t) -> np.ndarray:
+    """t as a float array, refused unless a nonempty 1-d sequence of finite,
+    positive, strictly increasing times (a NaN fails every comparison)."""
+    t = np.asarray(t, dtype=np.float64)
+    if not (t.ndim == 1 and t.size > 0 and 0.0 < t[0] and t[-1] < math.inf
+            and (t[1:] > t[:-1]).all()):
+        raise ConfigurationError("times must be a nonempty 1-d sequence of finite, positive, "
+                                 "strictly increasing values, got %r" % (t,))
+    return t
 
-    The midpoint rule takes the smallest node count M whose error bound
-    is at most tol; 2 M nodes (both halves) must fit in spec.n_nodes, or
-    RefinementNeededError names the count that would.  A tol that the
-    rule's roundoff alone exceeds is below its floor.
+
+def time_windows(spec: ContourSpec, times: np.ndarray, tol: float) -> list[slice]:
+    """Greedy windows of consecutive times, each spanning at most WINDOW_RATIO,
+    shrunk until its rule fits spec.n_nodes and its roundoff floor lies below
+    tol; a lone time is left for build_quadrature to run or refuse."""
+    times = check_times(times)
+    phi, psi = spec.theta - math.pi / 2.0, math.pi - spec.theta
+    windows, i = [], 0
+    while i < len(times):
+        j = int(np.searchsorted(times, WINDOW_RATIO * times[i], side="right"))
+        while j > i + 1:
+            m, _, _, roundoff = _hyperbola_rule(phi, psi, tol, times[j - 1] / times[i])
+            if 2 * m <= spec.n_nodes and 3.0 * roundoff <= tol:
+                break
+            j -= 1
+        windows.append(slice(i, j))
+        i = j
+    return windows
+
+
+def build_quadrature(spec: ContourSpec, t, tol: float) -> ContourQuadrature:
+    """Discretize the hyperbola for time t, or an increasing window of times, at tolerance tol.
+
+    A window's rule is sized for every time in [t[0], t[-1]], its nodes
+    scaled by t0 = t[0].  The midpoint rule takes the smallest node count M
+    whose error bound is at most tol; 2 M nodes (both halves) must fit in
+    spec.n_nodes, or RefinementNeededError names the count that would.  A
+    tol that the rule's roundoff alone exceeds is below its floor.
     """
-    if not 0.0 < t < math.inf:
-        raise ConfigurationError("time scale must be positive and finite, got %r" % t)
+    window = check_times(np.array(t, dtype=np.float64, ndmin=1))
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
+    t0 = float(window[0])
     phi, psi = spec.theta - math.pi / 2.0, math.pi - spec.theta
-    m, mu, h, roundoff = _hyperbola_rule(phi, psi, tol)
+    m, mu, h, roundoff = _hyperbola_rule(phi, psi, tol, float(window[-1]) / t0)
     if 3.0 * roundoff > tol:
         raise RefinementNeededError(
             "tol=%.1e is below the roundoff floor of the hyperbola rule: "
@@ -186,9 +222,9 @@ def build_quadrature(spec: ContourSpec, t: float, tol: float) -> ContourQuadratu
     u = (np.arange(m) + 0.5) * h
     # 1 + sin(i u - phi) and cos(i u - phi), free of cancellation near the vertex
     shape = 2.0 * math.sin(psi / 2.0) ** 2 * np.cosh(u) - 2.0 * np.sinh(u / 2.0) ** 2
-    nodes = (mu / t) * (shape + 1j * math.sin(psi) * np.sinh(u))
-    # ds = i mu cos(i u - phi) du / t, and i/(2 pi i) = 1/(2 pi)
-    weights = (h * mu / (2.0 * math.pi * t)) * (
+    nodes = (mu / t0) * (shape + 1j * math.sin(psi) * np.sinh(u))
+    # ds = i mu cos(i u - phi) du / t0, and i/(2 pi i) = 1/(2 pi)
+    weights = (h * mu / (2.0 * math.pi * t0)) * (
         math.sin(psi) * np.cosh(u) + 1j * math.sin(phi) * np.sinh(u)
     )
     return ContourQuadrature(nodes=nodes, weights=weights)
@@ -213,8 +249,8 @@ def invert_scalar(quad: ContourQuadrature, f: Callable, t: float) -> float:
     """Evaluate the inversion integral of f at time t on a built contour.
 
     f is called once, on the whole node array, and must return an array
-    of the same shape.  Accuracy is engineered for t equal to the
-    quadrature's time scale; other positive t are permitted for
+    of the same shape.  Accuracy is engineered for t in the window [t0, t1]
+    the quadrature was built for; other positive t are permitted for
     diagnostics.  The integral over the whole hyperbola is real for
     conjugate-symmetric f and is returned as a float.
     """

@@ -4,9 +4,9 @@ The family acts through the inversion integral of K(s) (s^(alpha-1) I + A)^(-1)
 along the hyperbolic contour of contour.py.  The spectral shift is
 s^(alpha-1), mapping small Laplace frequencies to large spectral
 parameters, which is what makes almost sectorial generators (no resolvent
-control near 0) usable: the contour stays a distance mu (1 - sin phi) / t
-from the origin, so it never asks for the resolvent near the spectral
-origin.
+control near 0) usable: the contour stays a distance mu (1 - sin phi) / t0
+from the origin, t0 the first time of the window of times it serves, so it
+never asks for the resolvent near the spectral origin.
 
 Note the resolvent sign: A is assembled positive semidefinite and the
 dynamics is u' (fractional) + A u = f, so every evaluation solves
@@ -29,7 +29,9 @@ from fracresolvent.contour import (
     ContourSpec,
     angle_condition,
     build_quadrature,
+    check_times,
     min_theta,
+    time_windows,
 )
 from fracresolvent.errors import (
     ConfigurationError,
@@ -53,7 +55,7 @@ def _check_gamma(gamma: float) -> None:
         raise ConfigurationError("gamma must lie in [0, 1), got %r" % gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
     """Everything a run needs besides the operator; made only with a usable kernel/angle pair."""
 
@@ -69,14 +71,9 @@ class EvolutionConfig:
         _check_gamma(self.gamma)
         if not 0.0 < self.tol < 1.0:
             raise ConfigurationError("tol must lie in (0, 1), got %r" % self.tol)
-        t = np.asarray(self.times, dtype=np.float64)
-        if t.ndim != 1 or t.size == 0:
-            raise ConfigurationError("times must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(t)) or t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ConfigurationError("times must be finite, strictly increasing and positive")
-        self.times = t
+        object.__setattr__(self, "times", check_times(self.times))
         if self.u0 is not None:
-            self.u0 = np.asarray(self.u0, dtype=np.float64)
+            object.__setattr__(self, "u0", np.asarray(self.u0, dtype=np.float64))
         if self.forcing is not None and not callable(self.forcing):
             raise ConfigurationError("forcing must be callable or None")
         check_pairing(self)
@@ -137,8 +134,9 @@ def scalar_mode_values(
     return 2.0 * np.real(np.sum(factor[:, None] / denom, axis=0))
 
 
-def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t: float):
-    """The contour nodes s and the factors w e^(st) K(s) every inversion shares."""
+def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
+    """The nodes s, scaled by the window's t0, and the factors w e^(st) K(s)
+    every inversion shares: one row of them per time of a column t."""
     s = quad.nodes
     return s, quad.weights * np.exp(s * t) * eval_kernel(kernel, s)
 
@@ -168,23 +166,25 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """V(t) x by one banded solve per contour node."""
     x = op.check_vector(np.asarray(x, dtype=np.float64))
-    return _inverse_apply(op, cfg, t, lambda s: x)
+    return _inverse_apply(op, cfg, [t], lambda s: x)[0]
 
 
-def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, rhs):
-    """Inverse transform of K(s) (s^(alpha-1) I + A)^(-1) rhs(s) at t.
+def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, rhs) -> np.ndarray:
+    """Inverse transform of K(s) (s^(alpha-1) I + A)^(-1) rhs(s) at each of a window of times.
 
     rhs(s) is the right-hand side at node s: x alone gives V(t) x, and
     x / s and x / s^2 give its first and second integrals in time, whose
     extra pole at s = 0 the contour encloses.  rhs is called once, on the
     nodes as a column, so it broadcasts to one row per node; each node
-    makes one solve.
+    makes one solve, shared by the window's times (one row each).
     """
-    s, factor = _node_factors(build_quadrature(cfg.contour, t, cfg.tol), cfg.kernel, t)
+    times = np.asarray(times, dtype=np.float64)
+    quad = build_quadrature(cfg.contour, times, cfg.tol)
+    s, factor = _node_factors(quad, cfg.kernel, times[:, None])
     shifts = redirect(s, cfg.kernel.alpha)
     b = np.broadcast_to(rhs(s[:, None]), (s.size, op.n))
-    acc = np.zeros(op.n, dtype=np.complex128)
-    for fj, zj, bj in zip(factor, shifts, b):
+    acc = np.zeros((times.size, op.n), dtype=np.complex128)
+    for fj, zj, bj in zip(factor.T[:, :, None], shifts, b):
         # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
         acc -= fj * resolve(op, -zj, bj)
     return 2.0 * np.real(acc)
@@ -240,6 +240,7 @@ def mild_solution(
     inversion of (sigma_j - sigma_{j-1}) / s^2.  Only f is approximated,
     to second order in t / n_sub; the stiff modes' fast transients are
     integrated through the transform, and every lag is at least t / n_sub.
+    Each lag has a contour of its own; unforced, each time_windows window shares one.
     """
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
@@ -248,21 +249,21 @@ def mild_solution(
         raise ConfigurationError("n_sub must be an integer >= 2, got %r" % n_sub)
     n_sub = int(n_sub)
     states = np.zeros((len(cfg.times), op.n))
-    norms = np.zeros(len(cfg.times))
-    for it, t in enumerate(cfg.times):
-        t = float(t)
-        if cfg.forcing is None:
-            u = _inverse_apply(op, cfg, t, lambda s: u0)
-        else:
+    if cfg.forcing is None:
+        for window in time_windows(cfg.contour, cfg.times, cfg.tol):
+            states[window] = _inverse_apply(op, cfg, cfg.times[window], lambda s: u0)
+    else:
+        for it, t in enumerate(cfg.times):
+            t = float(t)
             h = t / n_sub
             f = np.array([_forcing_at(cfg.forcing, j * h, op.n) for j in range(n_sub + 1)])
             # slope jumps sigma_j - sigma_(j-1), with sigma_(-1) = 0
             jumps = np.diff(np.diff(f, axis=0) / h, axis=0, prepend=0.0)
-            u = _inverse_apply(op, cfg, t, lambda s: u0 + f[0] / s + jumps[0] / s**2)
+            u = _inverse_apply(op, cfg, [t], lambda s: u0 + f[0] / s + jumps[0] / s**2)[0]
             for j in range(1, n_sub):
-                u = u + _inverse_apply(op, cfg, t - j * h, lambda s: jumps[j] / s**2)
-        states[it] = u
-        norms[it] = smoothed_norm(op, cfg.gamma, u)
+                u = u + _inverse_apply(op, cfg, [t - j * h], lambda s: jumps[j] / s**2)[0]
+            states[it] = u
+    norms = np.array([smoothed_norm(op, cfg.gamma, u) for u in states])
     return EvolutionResult(states=states, smoothed_norms=norms)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracresolvent.contour import DEFAULT_THETA, default_contour_spec
+from fracresolvent.contour import DEFAULT_THETA, check_times, default_contour_spec
 from fracresolvent.errors import ConfigurationError, OutputError
 from fracresolvent.evolution import EvolutionConfig, mild_solution
 from fracresolvent.kernels import (
@@ -96,11 +96,7 @@ class DecayTable:
     local_exponent: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        if t.ndim != 1 or t.size == 0:
-            raise ConfigurationError("table needs a nonempty 1-d time axis")
-        if np.any(np.diff(t) <= 0.0):
-            raise ConfigurationError("table times must be strictly increasing")
+        check_times(self.times)
         if not np.all(np.isfinite(self.norms)):
             raise ConfigurationError("table norms must be finite")
 

@@ -34,7 +34,7 @@ _GRID_LOW_DECADE = -20
 _GRID_HIGH_DECADE = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelParams:
     """Multiplier kind and parameters.
 

@@ -101,6 +101,18 @@ def test_underresolved_contour_exits_3(tmp_path, capsys, monkeypatch):
     assert "n_nodes" in err
 
 
+def test_windows_shrink_to_the_node_budget(tmp_path, capsys, monkeypatch):
+    # a window of [t0, 10 t0] needs 60 nodes at tol = 1e-8, and the 33-time
+    # sweep's neighbours 1.33 apart still need more than 32, so every window
+    # shrinks to its lone time and runs that time's 30-node rule
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(SMALL_SWEEP.replace("run.t_count = 5", "run.t_count = 33")
+                   + "contour.n_nodes = 32\ncontour.tol = 1e-8\n")
+    assert main(["run", str(cfg)]) == 0
+    assert "bound satisfied" in capsys.readouterr().out
+
+
 def _run_config(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

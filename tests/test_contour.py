@@ -9,6 +9,7 @@ from scipy.special import gamma as gamma_fn
 
 from fracresolvent.contour import (
     DEFAULT_THETA,
+    WINDOW_RATIO,
     ContourSpec,
     angle_condition,
     build_quadrature,
@@ -16,6 +17,7 @@ from fracresolvent.contour import (
     invert_scalar,
     min_theta,
     redirect,
+    time_windows,
 )
 from fracresolvent.errors import (
     BranchCutError,
@@ -63,6 +65,60 @@ def test_node_doubling_consistency():
         v1 = invert_scalar(coarse, lambda s: 1.0 / s, t)
         v2 = invert_scalar(fine, lambda s: 1.0 / s, t)
         assert abs(v1 - v2) <= 1e-8
+
+
+def test_lone_window_is_the_rule_of_its_time():
+    for t in (1e-3, 0.37, 10.0):
+        for tol in (1e-6, 1e-8, 1e-10):
+            a = build_quadrature(POWER_SPEC, t, tol)
+            b = build_quadrature(POWER_SPEC, np.array([t]), tol)
+            assert a.nodes.tobytes() == b.nodes.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+
+
+@pytest.mark.parametrize("t0", (1e-3, 1.0, 100.0))
+def test_window_contour_serves_every_time_in_it(t0):
+    """One contour, sized for [t0, 10 t0] and scaled by t0, meets tol at each time."""
+    times = t0 * np.logspace(0.0, 1.0, 9)
+    quad = build_quadrature(POWER_SPEC, times, 1e-8)
+    assert quad.all_nodes().size == 30  # 15 for a lone time
+    unit = build_quadrature(POWER_SPEC, times / t0, 1e-8)
+    assert np.allclose(quad.nodes * t0, unit.nodes, rtol=1e-14, atol=0.0)
+    for t in times:
+        t = float(t)
+        assert abs(invert_scalar(quad, lambda s: 1.0 / s, t) - 1.0) <= 1e-8
+        assert abs(invert_scalar(quad, lambda s: 1.0 / (s + 1.0 / t0), t)
+                   - math.exp(-t / t0)) <= 1e-8
+        exact = t**0.5 / gamma_fn(1.5)
+        assert abs(invert_scalar(quad, lambda s: s**-1.5, t) - exact) / exact <= 1e-8
+
+
+@pytest.mark.parametrize("bad", ([], [1.0, 1.0], [2.0, 1.0], [1.0, math.nan, 3.0],
+                                 [1.0, math.inf], [[1.0, 2.0]], [0.0, 1.0]))
+def test_bad_windows_are_refused(bad):
+    with pytest.raises(ConfigurationError, match="increasing"):
+        build_quadrature(POWER_SPEC, np.array(bad), 1e-8)
+    with pytest.raises(ConfigurationError, match="increasing"):
+        time_windows(POWER_SPEC, np.array(bad), 1e-8)
+
+
+def test_time_windows_cover_the_times_within_the_ratio_and_budget():
+    times = np.logspace(-3.0, 1.0, 33)
+    windows = time_windows(POWER_SPEC, times, 1e-8)
+    assert [(w.start, w.stop) for w in windows] == [(0, 9), (9, 18), (18, 27), (27, 33)]
+    for budget, tol in ((32, 1e-8), (60, 1e-8), (64, 1e-12), (44, 1e-12)):
+        spec = ContourSpec(n_nodes=budget)
+        windows = time_windows(spec, times, tol)
+        assert windows[0].start == 0 and windows[-1].stop == times.size
+        for w, nxt in zip(windows, windows[1:]):
+            assert w.stop == nxt.start
+        for w in windows:
+            assert times[w.stop - 1] <= WINDOW_RATIO * times[w.start]
+            assert build_quadrature(spec, times[w], tol).all_nodes().size <= budget
+    # the lone-time rule needs 30 nodes at 1e-8 and any two times more than 32
+    assert len(time_windows(ContourSpec(n_nodes=32), times, 1e-8)) == 33
+    # a lone time over the budget is left for build_quadrature to refuse
+    assert time_windows(ContourSpec(n_nodes=16), times[:2], 1e-8) == [slice(0, 1), slice(1, 2)]
 
 
 def test_nodes_scale_inversely_with_time():

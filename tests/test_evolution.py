@@ -1,6 +1,7 @@
 """Evolution family checks against closed forms and independent oracles."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracresolvent.contour import (
     build_quadrature,
     default_contour_spec,
     invert_scalar,
+    time_windows,
 )
 from fracresolvent.errors import ConfigurationError, EvaluationError
 from fracresolvent.evolution import (
@@ -217,15 +219,50 @@ def test_smoothing_sup_stable_under_node_doubling():
         assert abs(sups[1] - sups[0]) / sups[0] < 1e-2
 
 
+def test_configs_are_frozen():
+    """check_pairing runs when a config is made, so no field may change after.
+
+    A probe kernel swapped into a mutable config used to reach
+    resolvent_apply, which returned 0.1366 instead of refusing it.
+    """
+    cfg = cfg_with(times=(1.0,))
+    probe = KernelParams(kind="caputo_probe", alpha=0.5)
+    with pytest.raises(FrozenInstanceError):
+        cfg.kernel = probe
+    with pytest.raises(FrozenInstanceError):
+        cfg.kernel.alpha = 0.95
+    with pytest.raises(FrozenInstanceError):
+        cfg.contour.theta = 2.0
+    with pytest.raises(ConfigurationError, match="probe"):
+        replace(cfg, kernel=probe)
+
+
 def test_mild_homogeneous_equals_family():
+    """A lone output time runs resolvent_apply's rule, bit for bit."""
+    op = make_diagonal([0.5, 2.0])
+    u0 = np.array([1.0, -1.0])
+    for t in (0.5, 1.0):
+        cfg = cfg_with(times=(t,), u0=u0)
+        res = mild_solution(op, cfg)
+        assert np.array_equal(res.states[0], resolvent_apply(op, cfg, t, u0))
+        assert np.all(np.isfinite(res.smoothed_norms))
+
+
+def test_mild_window_shares_one_contour():
+    """Times 0.5 and 1 form one window: its states are the inversions on the
+    contour sized for [0.5, 1], and within tol of each time's own rule."""
     op = make_diagonal([0.5, 2.0])
     u0 = np.array([1.0, -1.0])
     cfg = cfg_with(times=(0.5, 1.0), u0=u0)
+    assert time_windows(cfg.contour, cfg.times, cfg.tol) == [slice(0, 2)]
     res = mild_solution(op, cfg)
-    for i, t in enumerate((0.5, 1.0)):
-        direct = resolvent_apply(op, cfg, t, u0)
-        assert np.array_equal(res.states[i], direct)
-    assert np.all(np.isfinite(res.smoothed_norms))
+    quad = build_quadrature(cfg.contour, cfg.times, cfg.tol)
+    lam = np.array([0.5, 2.0])
+    for i, t in enumerate(cfg.times):
+        modes = scalar_mode_values(quad, cfg.kernel, lam, float(t))
+        assert np.allclose(res.states[i], modes * u0, rtol=1e-13, atol=0.0)
+        own = resolvent_apply(op, cfg, float(t), u0)
+        assert np.max(np.abs(res.states[i] - own) / np.abs(own)) <= cfg.tol
 
 
 def test_mild_constant_forcing_oracle():
@@ -289,11 +326,18 @@ def test_mild_product_rule_order():
     assert min(orders) >= 1.8
 
 
-@pytest.mark.parametrize("forcing, solves", ((lambda tau: np.ones(50), 1920), (None, 30)),
-                         ids=("forced", "free"))
-def test_mild_solve_counts(monkeypatch, forcing, solves):
-    """15 solves per inversion at tol = 1e-8: per output time, one inversion for
-    V(t) u0 and the lag-0 forcing terms together, and one per later lag."""
+@pytest.mark.parametrize("times, forcing, solves", (
+    ((0.1, 1.0), lambda tau: np.ones(50), 1920),
+    ((0.1, 1.0), None, 30),
+    (np.logspace(-3.0, 1.0, 33), None, 114),
+), ids=("forced", "free", "sweep"))
+def test_mild_solve_counts(monkeypatch, times, forcing, solves):
+    """Forced: 15 solves per inversion at tol = 1e-8, and per output time one
+    inversion for V(t) u0 and the lag-0 forcing terms together, and one per
+    later lag.  Unforced: one inversion per window, whose contour serves
+    [t0, 10 t0]: 30 nodes for (0.1, 1); 30, 30, 30 and 24 for the windows
+    of 9, 9, 9 and 6 times of the 33-time sweep, where one inversion per
+    time made 495."""
     solve = fracresolvent.operators.solve_tridiagonal
     calls = []
 
@@ -302,7 +346,7 @@ def test_mild_solve_counts(monkeypatch, forcing, solves):
         return solve(m, rhs)
 
     monkeypatch.setattr(fracresolvent.operators, "solve_tridiagonal", counted)
-    cfg = cfg_with(times=(0.1, 1.0), u0=np.ones(50), forcing=forcing)
+    cfg = cfg_with(times=times, u0=np.ones(50), forcing=forcing)
     mild_solution(assemble_kimura(50), cfg, n_sub=64)
     assert len(calls) == solves
 

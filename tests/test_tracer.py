@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -33,19 +35,44 @@ cfg = evolution.EvolutionConfig(
 )
 tracer.counters.clear()
 evolution.mild_solution(op, cfg, n_sub=4)
-print(json.dumps(dict(tracer.counters)))
+counts = [dict(tracer.counters)]
+sweep = evolution.EvolutionConfig(
+    kernel=KernelParams(kind="abc", alpha=0.5), contour=default_contour_spec(0.5),
+    times=np.logspace(-3.0, 1.0, 33), u0=np.ones(20),
+)
+tracer.counters.clear()
+evolution.mild_solution(op, sweep)
+counts.append(dict(tracer.counters))
+print(json.dumps(counts))
 """
 
 
-def test_tracer_counts_a_forced_mild_solution():
+@pytest.fixture(scope="module")
+def counters():
+    """Counters of the forced run and of the unforced sweep, in a traced subprocess."""
     script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
-    counters = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_counts_a_forced_mild_solution(counters):
+    forced = counters[0]
     # one lag-0 inversion and three later lags, 15 nodes each at tol = 1e-8
-    assert counters["tridiag.solve_tridiagonal.calls"] == 60
-    assert counters["operators.resolve.calls"] == 60
-    assert counters["contour.build_quadrature.calls"] == 4
-    assert counters["contour.build_quadrature.useful"] == 4
-    assert counters["kernels.eval_kernel.calls"] == 4
-    assert counters["evolution.mild_solution.calls"] == 1
+    assert forced["tridiag.solve_tridiagonal.calls"] == 60
+    assert forced["operators.resolve.calls"] == 60
+    assert forced["contour.build_quadrature.calls"] == 4
+    assert forced["contour.build_quadrature.useful"] == 4
+    assert forced["kernels.eval_kernel.calls"] == 4
+    assert forced["evolution.mild_solution.calls"] == 1
+
+
+def test_tracer_counts_an_unforced_sweep(counters):
+    sweep = counters[1]
+    # 33 times over [1e-3, 10] in four windows, on contours of 30, 30, 30 and 24 nodes
+    assert sweep["contour.build_quadrature.calls"] == 4
+    assert sweep["contour.build_quadrature.useful"] == 4
+    assert sweep["kernels.eval_kernel.calls"] == 4
+    assert sweep["tridiag.solve_tridiagonal.calls"] == 114
+    assert sweep["operators.resolve.calls"] == 114
+    assert sweep["evolution.mild_solution.calls"] == 1
