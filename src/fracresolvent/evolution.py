@@ -13,6 +13,9 @@ dynamics is u' (fractional) + A u = f, so every evaluation solves
 (s^(alpha-1) M + S) y = M x.  These systems are uniformly nonsingular on
 the contour because s^(alpha-1) stays a positive angle away from the
 negative real axis whenever the angle condition holds.
+
+The vector work is whole-array: a window's node solves are combined for
+all of its times by one matrix product, and a run's norms are taken in one pass.
 """
 
 from __future__ import annotations
@@ -119,19 +122,18 @@ def check_pairing(cfg: EvolutionConfig) -> None:
         )
 
 
-def scalar_mode_values(
-    quad: ContourQuadrature, kernel: KernelParams, lam: np.ndarray, t: float
-) -> np.ndarray:
-    """v(lambda, t) for every eigenvalue at once.
+def scalar_mode_values(quad: ContourQuadrature, kernel: KernelParams, lam: np.ndarray,
+                       t) -> np.ndarray:
+    """v(lambda, t) for every eigenvalue at once, at a time t or one row per time of a column t.
 
     v is the scalar inversion of K(s) / (s^(alpha-1) + lambda); the
     denominator stays away from zero for lambda >= 0 because every node
-    has |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.
+    has |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.  The node
+    sum is one product of the factors with the matrix 1 / (s^(alpha-1) + lambda).
     """
     lam = np.asarray(lam, dtype=np.float64)
     s, factor = _node_factors(quad, kernel, t)
-    denom = redirect(s, kernel.alpha)[:, None] + lam[None, :]
-    return 2.0 * np.real(np.sum(factor[:, None] / denom, axis=0))
+    return 2.0 * np.real(factor @ (1.0 / (redirect(s, kernel.alpha)[:, None] + lam)))
 
 
 def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
@@ -142,22 +144,18 @@ def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
 
 
 def _require_psd(op: DiscreteOperator) -> None:
-    """Refuse a pencil whose lowest eigenvalue falls below EIGENVALUE_CLAMP."""
-    lam_min = op.lowest_eigenvalue()
-    if lam_min < EIGENVALUE_CLAMP:
+    """Refuse a pencil with eigenvalues below EIGENVALUE_CLAMP, found by one Sturm count."""
+    below = op.eigenvalues_below(EIGENVALUE_CLAMP)
+    if below.size:
         raise NumericalError(
             "eigenvalue %g below the clamp threshold %g: operator is not PSD"
-            % (lam_min, EIGENVALUE_CLAMP)
+            % (below[0], EIGENVALUE_CLAMP)
         )
 
 
 def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
-    """Eigenvalues of A for its fractional powers, roundoff negatives set to 0.
-
-    _fractional_power and laplace_check's mode values take it from here.
-    Eigenvalues below EIGENVALUE_CLAMP mean the pencil is not positive
-    semidefinite and are refused.
-    """
+    """Eigenvalues of A for _fractional_power and laplace_check's mode values, roundoff
+    negatives set to 0; a pencil that is not PSD is refused."""
     lam = op.eigensystem().eigenvalues
     _require_psd(op)
     return np.maximum(lam, 0.0)
@@ -175,19 +173,19 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, rhs) -> np
     rhs(s) is the right-hand side at node s: x alone gives V(t) x, and
     x / s and x / s^2 give its first and second integrals in time, whose
     extra pole at s = 0 the contour encloses.  rhs is called once, on the
-    nodes as a column, so it broadcasts to one row per node; each node
-    makes one solve, shared by the window's times (one row each).
+    nodes as a column, so it broadcasts to one row per node.  Each node makes
+    one solve y_j, shared by the window's times; the rows are one product
+    -2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), Y the stack of this window's solves.
     """
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
     s, factor = _node_factors(quad, cfg.kernel, times[:, None])
-    shifts = redirect(s, cfg.kernel.alpha)
     b = np.broadcast_to(rhs(s[:, None]), (s.size, op.n))
-    acc = np.zeros((times.size, op.n), dtype=np.complex128)
-    for fj, zj, bj in zip(factor.T[:, :, None], shifts, b):
+    ys = np.empty((s.size, op.n), dtype=np.complex128)
+    for j, (zj, bj) in enumerate(zip(redirect(s, cfg.kernel.alpha), b)):
         # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
-        acc -= fj * resolve(op, -zj, bj)
-    return 2.0 * np.real(acc)
+        ys[j] = resolve(op, -zj, bj)
+    return -2.0 * np.real(factor @ ys)
 
 
 def _fractional_power(op: DiscreteOperator, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -203,21 +201,27 @@ def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> n
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
-    """M-weighted norm of A^gamma u.
+    """M-weighted norm of A^gamma u; gamma must lie in [0, 1).
 
     gamma == 1/2 uses ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u on the
     stiffness bands and forms no eigenvectors; the pencil is still
-    refused as not PSD when its lowest eigenvalue, found by bisection
-    once per operator, falls below EIGENVALUE_CLAMP.  Any other gamma
-    applies A^gamma as smoothed_apply does.  gamma must lie in [0, 1).
+    refused as not PSD when one Sturm count finds an eigenvalue below
+    EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
     """
     _check_gamma(gamma)
-    u = op.check_vector(np.asarray(u))
+    return float(_smoothed_norms(op, gamma, op.check_vector(np.asarray(u))[None, :])[0])
+
+
+def _smoothed_norms(op: DiscreteOperator, gamma: float, states: np.ndarray) -> np.ndarray:
+    """smoothed_norm of every row of states in one pass.  At gamma == 1/2, S U is formed
+    band-wise before the row-wise dot, so the cancellation in u^T S u stays local."""
     if gamma == 0.5:
         _require_psd(op)
+        form = np.einsum("ij,ij->i", states.conj(), op.stiffness.matvec(states)).real
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
-        return math.sqrt(max(float(np.vdot(u, op.stiffness.matvec(u)).real), 0.0))
-    return op.weighted_norm(_fractional_power(op, gamma, u))
+        return np.sqrt(np.maximum(form, 0.0))
+    w = _fractional_power(op, gamma, states)
+    return np.sqrt(np.sum(op.lumped_mass * np.abs(w) ** 2, axis=1))
 
 
 def mild_solution(
@@ -263,8 +267,7 @@ def mild_solution(
             for j in range(1, n_sub):
                 u = u + _inverse_apply(op, cfg, [t - j * h], lambda s: jumps[j] / s**2)[0]
             states[it] = u
-    norms = np.array([smoothed_norm(op, cfg.gamma, u) for u in states])
-    return EvolutionResult(states=states, smoothed_norms=norms)
+    return EvolutionResult(states=states, smoothed_norms=_smoothed_norms(op, cfg.gamma, states))
 
 
 def _forcing_at(forcing, tau: float, n: int) -> np.ndarray:
@@ -333,9 +336,9 @@ def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray
     spectrum = _clamped_spectrum(op)
     # apply_spectral is linear in its values: integrate the mode values, apply once
     vals = np.empty((n, op.n))
-    for i, t in enumerate(ts):
-        quad = build_quadrature(cfg.contour, float(t), cfg.tol)
-        vals[i] = scalar_mode_values(quad, cfg.kernel, spectrum, float(t))
+    for window in time_windows(cfg.contour, ts, cfg.tol):
+        quad = build_quadrature(cfg.contour, ts[window], cfg.tol)
+        vals[window] = scalar_mode_values(quad, cfg.kernel, spectrum, ts[window, None])
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
     acc = np.trapezoid(integrand, x=np.log(ts), axis=0)
     acc += vals[0] * LAPLACE_T_MIN * math.exp(-lam * LAPLACE_T_MIN)

@@ -19,8 +19,8 @@ from fracresolvent.errors import ConfigurationError, SingularMatrixError
 from fracresolvent.tridiag import (
     EigenDecomposition,
     TridiagonalMatrix,
+    eigenvalues_below,
     eigh_tridiagonal,
-    lowest_eigenvalue,
     solve_tridiagonal,
 )
 
@@ -51,7 +51,6 @@ class DiscreteOperator:
         if not self.stiffness.is_symmetric():
             raise ConfigurationError("stiffness must be symmetric")
         self._eig = None
-        self._lam_min = None
         self._sqrt_mass = None
 
     @property
@@ -76,11 +75,9 @@ class DiscreteOperator:
             self._eig = eigh_tridiagonal(self._symmetrized())
         return self._eig
 
-    def lowest_eigenvalue(self) -> float:
-        """Smallest eigenvalue of A~ by bisection (cached)."""
-        if self._lam_min is None:
-            self._lam_min = lowest_eigenvalue(self._symmetrized())
-        return self._lam_min
+    def eigenvalues_below(self, bound: float) -> np.ndarray:
+        """Eigenvalues of A~ below bound, ascending, by a Sturm count; no eigenvectors."""
+        return eigenvalues_below(self._symmetrized(), bound)
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         """Return x unchanged, or refuse it unless it has shape (n,)."""
@@ -99,12 +96,12 @@ class DiscreteOperator:
         """Apply g(A) given g's values on the spectrum of A~.
 
         Computes M^{-1/2} Q diag(values) Q^T M^{1/2} x, which represents
-        g(A) because A = M^{-1/2} A~ M^{1/2}.
+        g(A) because A = M^{-1/2} A~ M^{1/2}; a 2-d x is taken row by row.
         """
         eig = self.eigensystem()
         d = self.sqrt_mass
-        coeff = eig.eigenvectors.T @ (d * x)
-        return (eig.eigenvectors @ (values * coeff)) / d
+        coeff = (d * x) @ eig.eigenvectors
+        return ((values * coeff) @ eig.eigenvectors.T) / d
 
 
 def _gauss4(edges: np.ndarray, integrand) -> np.ndarray:

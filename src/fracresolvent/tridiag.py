@@ -51,10 +51,10 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:  # x may hold one vector per row
         y = self.diag * x
-        y[:-1] = y[:-1] + self.sup * x[1:]
-        y[1:] = y[1:] + self.sub * x[:-1]
+        y[..., :-1] += self.sup * x[..., 1:]
+        y[..., 1:] += self.sub * x[..., :-1]
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -126,13 +126,12 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def lowest_eigenvalue(m: TridiagonalMatrix) -> float:
-    """Smallest eigenvalue of a symmetric real tridiagonal matrix, by bisection (O(n) memory)."""
+def eigenvalues_below(m: TridiagonalMatrix, bound: float) -> np.ndarray:
+    """Eigenvalues below bound, ascending: one Sturm count (O(n)) when there are none."""
     try:
-        w = scipy.linalg.eigvalsh_tridiagonal(
+        return scipy.linalg.eigvalsh_tridiagonal(
             np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float),
-            select="i", select_range=(0, 0),
+            select="v", select_range=(-np.inf, bound),
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
-    return float(w[0])

@@ -38,7 +38,7 @@ evolution.mild_solution(op, cfg, n_sub=4)
 counts = [dict(tracer.counters)]
 sweep = evolution.EvolutionConfig(
     kernel=KernelParams(kind="abc", alpha=0.5), contour=default_contour_spec(0.5),
-    times=np.logspace(-3.0, 1.0, 33), u0=np.ones(20),
+    times=np.logspace(-3.0, 1.0, 33), u0=np.ones(20), gamma=0.5,
 )
 tracer.counters.clear()
 evolution.mild_solution(op, sweep)
@@ -49,7 +49,7 @@ print(json.dumps(counts))
 
 @pytest.fixture(scope="module")
 def counters():
-    """Counters of the forced run and of the unforced sweep, in a traced subprocess."""
+    """Counters of the forced run and of the unforced gamma = 1/2 sweep, in a traced subprocess."""
     script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
@@ -69,7 +69,9 @@ def test_tracer_counts_a_forced_mild_solution(counters):
 
 def test_tracer_counts_an_unforced_sweep(counters):
     sweep = counters[1]
-    # 33 times over [1e-3, 10] in four windows, on contours of 30, 30, 30 and 24 nodes
+    # 33 times over [1e-3, 10] in four windows, on contours of 30, 30, 30 and 24 nodes;
+    # the norms at gamma = 1/2 take u^T S u and a Sturm count, and form no eigenbasis
+    assert sweep.get("tridiag.eigh_tridiagonal.calls", 0) == 0
     assert sweep["contour.build_quadrature.calls"] == 4
     assert sweep["contour.build_quadrature.useful"] == 4
     assert sweep["kernels.eval_kernel.calls"] == 4

@@ -164,20 +164,30 @@ def test_frac_power_rejects_negative_spectrum():
 
 
 def test_half_power_norm_rejects_negative_spectrum():
-    """The u^T S u route of smoothed_norm refuses what the spectral route refuses."""
+    """The u^T S u route of smoothed_norm refuses what the spectral route refuses,
+    both by one Sturm count against the -1e-10 clamp, naming the lowest eigenvalue."""
     with pytest.raises(NumericalError, match="not PSD"):
         smoothed_norm(_single(-1.0), 0.5, np.array([1.0]))
-    with pytest.raises(NumericalError, match="not PSD"):
-        smoothed_norm(_single(2.0, -1e-9, 3.0), 0.5, np.ones(3))
-    # roundoff negatives above the clamp pass, as in the spectral route
+    slightly_negative = _single(2.0, -1e-9, 3.0)
+    with pytest.raises(NumericalError, match=r"eigenvalue -1e-09 below .* not PSD"):
+        smoothed_norm(slightly_negative, 0.5, np.ones(3))
+    with pytest.raises(NumericalError, match=r"eigenvalue -1e-09 below .* not PSD"):
+        _clamped_spectrum(slightly_negative)
+    # roundoff negatives above the clamp pass, and the spectrum clamps them to 0
     assert smoothed_norm(_single(4.0, -1e-12), 0.5, np.array([1.0, 0.0])) == 2.0
+    assert _clamped_spectrum(_single(4.0, -1e-12))[0] == 0.0
 
 
-def test_lowest_eigenvalue_matches_full_solver():
+def test_eigenvalues_below_count_matches_full_solver():
+    """The Sturm count below each midpoint of the spectrum, and the values it bisects."""
     rng = np.random.default_rng(19)
     op = _psd_op(rng, 40)
-    bisected = op.lowest_eigenvalue()
-    assert bisected == pytest.approx(op.eigensystem().eigenvalues[0], rel=1e-12)
+    lam = op.eigensystem().eigenvalues
+    assert op.eigenvalues_below(0.5 * lam[0]).size == 0
+    for k, bound in enumerate(0.5 * (lam[:-1] + lam[1:]), start=1):
+        below = op.eigenvalues_below(bound)
+        assert below.size == k
+        assert np.allclose(below, lam[:k], rtol=1e-12, atol=0.0)
 
 
 def test_solve_spectral_consistency():
