@@ -26,9 +26,8 @@ from typing import Callable
 import numpy as np
 
 from fracresolvent.errors import ConfigurationError, EvaluationError, RefinementNeededError
-from fracresolvent.kernels import redirect  # re-exported; kernels.py is its home
+from fracresolvent.kernels import DEFAULT_THETA, redirect  # re-exported; kernels.py is their home
 
-DEFAULT_THETA = 3.0 * math.pi / 4.0
 DEFAULT_THETA_A = math.pi / 8.0
 DEFAULT_R_MIN = 1e-14
 DEFAULT_R_MAX = 55.0

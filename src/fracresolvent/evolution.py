@@ -296,8 +296,10 @@ def laplace_check(
     """Verify the transform identity at frequency lam > 0.
 
     lhs integrates e^(-lam t) V(t) x over a log-spaced grid on
-    [1e-6, 40/lam] (trapezoid in log t), with the [0, 1e-6] sliver taken
-    as a plateau rectangle; doubling the grid density from
+    [1e-6, 40/lam] (trapezoid in log t).  On the [0, 1e-6] sliver each mode
+    is the power law t^(-p) through the first two grid samples, whose integral
+    is T v(T) e^(-lam T) / (1 - p) at T = 1e-6; a p that is not finite or
+    not below 1 is a refinement error.  Doubling the grid density from
     LAPLACE_POINTS_PER_DECADE must move lhs by less than LAPLACE_TOL / 2
     or a refinement error is raised.  rhs is K(lam) (lam^(alpha-1) I + A)^(-1) x
     through the real banded solve, an entirely separate code path from the
@@ -341,5 +343,10 @@ def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray
         vals[window] = scalar_mode_values(quad, cfg.kernel, spectrum, ts[window, None])
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
     acc = np.trapezoid(integrand, x=np.log(ts), axis=0)
-    acc += vals[0] * LAPLACE_T_MIN * math.exp(-lam * LAPLACE_T_MIN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(vals[0] / vals[1]) / math.log(ts[1] / ts[0])
+    if not np.all(np.isfinite(p) & (p < 1.0)):
+        raise RefinementNeededError("the modes are not power laws t^(-p), p < 1, on [0, %g]: "
+                                    "p up to %r" % (LAPLACE_T_MIN, float(np.max(p))))
+    acc += integrand[0] / (1.0 - p)
     return op.apply_spectral(acc, x)

@@ -25,6 +25,8 @@ ABC = "abc"
 W = "w"
 CAPUTO_PROBE = "caputo_probe"
 _KINDS = (ABC, W, CAPUTO_PROBE)
+# the contour's asymptotic angle unless a config or the redirection condition sets another
+DEFAULT_THETA = 3.0 * math.pi / 4.0
 
 _DENOM_FLOOR = 1e-300
 # sampling range for admissibility: deep on the small side so that slow
@@ -145,7 +147,7 @@ def _check_denominator(denom: np.ndarray) -> None:
 
 
 def estimate_admissibility(
-    params: KernelParams, theta: float = 3.0 * math.pi / 4.0, n_samples: int = 256
+    params: KernelParams, theta: float = DEFAULT_THETA, n_samples: int = 256
 ) -> AdmissibilityReport:
     """Sample the admissibility envelope along the contour ray arg s = theta.
 

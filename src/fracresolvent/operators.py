@@ -48,8 +48,6 @@ class DiscreteOperator:
         self.lumped_mass = np.asarray(self.lumped_mass, dtype=np.float64)
         if np.any(self.lumped_mass <= 0.0):
             raise ConfigurationError("lumped mass must be strictly positive")
-        if not self.stiffness.is_symmetric():
-            raise ConfigurationError("stiffness must be symmetric")
         self._eig = None
         self._sqrt_mass = None
 
@@ -66,8 +64,8 @@ class DiscreteOperator:
     def _symmetrized(self) -> TridiagonalMatrix:
         """A~ = M^{-1/2} S M^{-1/2}, the symmetric form sharing A's spectrum."""
         d = self.sqrt_mass
-        off = self.stiffness.sub / (d[:-1] * d[1:])
-        return TridiagonalMatrix(sub=off, diag=self.stiffness.diag / self.lumped_mass, sup=off)
+        return TridiagonalMatrix(self.stiffness.diag / self.lumped_mass,
+                                 self.stiffness.off / (d[:-1] * d[1:]))
 
     def eigensystem(self) -> EigenDecomposition:
         """Eigendecomposition of A~ = M^{-1/2} S M^{-1/2} (cached)."""
@@ -122,8 +120,7 @@ def _assemble_stiffness(edges: np.ndarray, weight, keep: np.ndarray) -> Tridiago
     """
     w = _gauss4(edges, lambda x, lo, hi: weight(x)) / np.diff(edges) ** 2
     total = np.pad(w, (1, 0)) + np.pad(w, (0, 1))  # each node sums its two elements
-    off = -w[keep[:-1] & keep[1:]]
-    return TridiagonalMatrix(sub=off, diag=total[keep], sup=off.copy())
+    return TridiagonalMatrix(total[keep], -w[keep[:-1] & keep[1:]])
 
 
 def assemble_kimura(n: int) -> DiscreteOperator:
@@ -201,9 +198,8 @@ def make_diagonal(eigenvalues) -> DiscreteOperator:
             "diagonal operator requires nonnegative eigenvalues, got %r"
             % float(lam.min())
         )
-    k = lam.size
-    stiff = TridiagonalMatrix(sub=np.zeros(k - 1), diag=lam.copy(), sup=np.zeros(k - 1))
-    return DiscreteOperator(kind=DIAGONAL, stiffness=stiff, lumped_mass=np.ones(k))
+    stiff = TridiagonalMatrix(lam.copy(), np.zeros(lam.size - 1))
+    return DiscreteOperator(kind=DIAGONAL, stiffness=stiff, lumped_mass=np.ones(lam.size))
 
 
 def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
@@ -223,10 +219,8 @@ def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
             raise SingularMatrixError(
                 "spectral point z=%r lies within %g of an eigenvalue" % (z, _AXIS_GUARD)
             )
-    m = op.lumped_mass
-    s = op.stiffness
-    shifted = TridiagonalMatrix(sub=-s.sub, diag=z * m - s.diag, sup=-s.sup)
-    return solve_tridiagonal(shifted, m * b)
+    m, s = op.lumped_mass, op.stiffness
+    return solve_tridiagonal(TridiagonalMatrix(z * m - s.diag, -s.off), m * b)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 All contour evaluations reduce to shifted tridiagonal solves (zM - S) or,
 on the spectral path, to scalar functions of the symmetrized eigenvalues,
-so this module is the numerical floor of the package.
+so this module is the numerical floor of the package.  Each matrix is
+symmetric by type: one off-diagonal band serves both sides.
 """
 
 from __future__ import annotations
@@ -20,32 +21,27 @@ from fracresolvent.errors import (
 
 RESIDUAL_TARGET = 1e-10
 EIGENVALUE_CLAMP = -1e-10
+_TINY_RHS = 2.0 ** -500  # a right-hand side normed below this is solved at unit size
 
 
 @dataclass
 class TridiagonalMatrix:
-    """Tridiagonal matrix stored as three bands.
-
-    sub and sup have length n-1, diag has length n.  Entries may be real
-    or complex; solves promote to complex128.
+    """Symmetric tridiagonal matrix: diag has length n, off (length n-1) is
+    both the sub- and the super-diagonal.  Entries may be real or complex;
+    solves promote to complex128.
     """
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
 
     def __post_init__(self):
-        self.sub = np.asarray(self.sub)
         self.diag = np.asarray(self.diag)
-        self.sup = np.asarray(self.sup)
+        self.off = np.asarray(self.off)
         n = self.diag.shape[0]
         if n < 1:
             raise ValueError("empty matrix")
-        if self.sub.shape != (n - 1,) or self.sup.shape != (n - 1,):
-            raise ValueError(
-                "band lengths inconsistent: diag has %d, sub %s, sup %s"
-                % (n, self.sub.shape, self.sup.shape)
-            )
+        if self.off.shape != (n - 1,):
+            raise ValueError("off has shape %s, diag length %d" % (self.off.shape, n))
 
     @property
     def n(self) -> int:
@@ -53,15 +49,9 @@ class TridiagonalMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:  # x may hold one vector per row
         y = self.diag * x
-        y[..., :-1] += self.sup * x[..., 1:]
-        y[..., 1:] += self.sub * x[..., :-1]
+        y[..., :-1] += self.off * x[..., 1:]
+        y[..., 1:] += self.off * x[..., :-1]
         return y
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.sub, self.sup))
 
 
 @dataclass
@@ -79,23 +69,32 @@ def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     reach 1e-10 or it is rejected as ill-conditioned.  (A residual scaled
     by ||rhs|| alone would grow with the condition number even for a
     perfectly stable solve.)  An exactly zero pivot raises
-    SingularMatrixError naming its row.
+    SingularMatrixError naming its row.  A nonzero rhs with a norm below
+    2^-500 is solved scaled by a power of 2 to unit size, so no norm
+    underflows, and the answer is scaled back exactly.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (m.n,):
         raise ValueError("rhs length %s does not match matrix order %d" % (rhs.shape, m.n))
-    # the f2py wrapper rejects empty off-diagonals, so n = 1 passes length-1 ones
-    sub, sup = (m.sub, m.sup) if m.n > 1 else (np.zeros(1), np.zeros(1))
-    _, _, _, x, info = scipy.linalg.lapack.zgtsv(sub, m.diag, sup, rhs)
+    scale = np.linalg.norm(rhs)
+    e = 0
+    if scale < _TINY_RHS and np.any(rhs):
+        e = int(np.frexp(np.max(np.abs(rhs)))[1])
+        # np.ldexp refuses complex input, and 2.0**-e may overflow
+        rhs = np.ldexp(rhs.astype(np.complex128).view(np.float64), -e).view(np.complex128)
+        scale = np.linalg.norm(rhs)
+    # the f2py wrapper rejects empty off-diagonals, so n = 1 passes a length-1 one
+    off = m.off if m.n > 1 else np.zeros(1)
+    _, _, _, x, info = scipy.linalg.lapack.zgtsv(off, m.diag, off, rhs)
     if info > 0:
         raise SingularMatrixError("zero pivot at row %d" % (info - 1), index=info - 1)
-    r = rhs - m.matvec(x)
-    scale = np.linalg.norm(rhs)
     if scale == 0.0:
         return np.zeros_like(x)
+    r = rhs - m.matvec(x)
     row_sum = np.abs(m.diag).astype(np.float64)
-    row_sum[:-1] += np.abs(m.sup)
-    row_sum[1:] += np.abs(m.sub)
+    abs_off = np.abs(m.off)
+    row_sum[:-1] += abs_off
+    row_sum[1:] += abs_off
     denom = float(row_sum.max()) * float(np.linalg.norm(x)) + float(scale)
     residual = float(np.linalg.norm(r) / denom)
     if not np.isfinite(residual) or residual > RESIDUAL_TARGET:
@@ -103,7 +102,7 @@ def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
             "backward error %.3e exceeds target %.1e" % (residual, RESIDUAL_TARGET),
             residual=residual,
         )
-    return x
+    return np.ldexp(x.view(np.float64), e).view(np.complex128) if e else x
 
 
 def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
@@ -113,13 +112,11 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
     returned eigenvalues are ascending and the eigenvector matrix is
     orthogonal to the residual targets the tests pin (1e-10).
     """
-    if np.iscomplexobj(m.diag) or np.iscomplexobj(m.sub) or np.iscomplexobj(m.sup):
+    if np.iscomplexobj(m.diag) or np.iscomplexobj(m.off):
         raise ValueError("eigendecomposition requires a real symmetric matrix")
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric: sub and sup bands differ")
     try:
         w, v = scipy.linalg.eigh_tridiagonal(
-            np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float)
+            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float)
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc
@@ -130,7 +127,7 @@ def eigenvalues_below(m: TridiagonalMatrix, bound: float) -> np.ndarray:
     """Eigenvalues below bound, ascending: one Sturm count (O(n)) when there are none."""
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            np.asarray(m.diag, dtype=float), np.asarray(m.sub, dtype=float),
+            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float),
             select="v", select_range=(-np.inf, bound),
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:

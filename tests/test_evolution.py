@@ -17,9 +17,10 @@ from fracresolvent.contour import (
     invert_scalar,
     time_windows,
 )
-from fracresolvent.errors import ConfigurationError, EvaluationError
+from fracresolvent.errors import ConfigurationError, EvaluationError, RefinementNeededError
 from fracresolvent.evolution import (
     DEFAULT_CONV_SUBINTERVALS,
+    LAPLACE_TOL,
     EvolutionConfig,
     _clamped_spectrum,
     _inverse_apply,
@@ -486,6 +487,29 @@ def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
     report = laplace_check(op, cfg_with(), 1.0, x=np.sin(np.pi * np.arange(1, 31) / 31.0))
     assert report.rel_err <= 1e-3
     assert (len(sizes), sum(sizes)) == (16, 366 + 731)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.8), (0.3, 0.5)])
+def test_laplace_check_w_kernel_sliver(alpha, beta):
+    """The w modes grow like t^(-alpha) near 0; the [0, 1e-6] sliver is integrated
+    as that power law, where a rectangle missed about 1.6e-2 at alpha = 1/2."""
+    kernel = KernelParams(kind="w", alpha=alpha, beta=beta)
+    cfg = cfg_with(contour=default_contour_spec(alpha, 1e-8), kernel=kernel)
+    x = np.sin(np.pi * np.arange(1, 201) / 201.0)
+    report = laplace_check(assemble_kimura(200), cfg, 1.0, x=x)
+    assert report.rel_err <= LAPLACE_TOL
+    assert report.grid_delta <= 0.5 * LAPLACE_TOL
+
+
+@pytest.mark.parametrize("values", [
+    lambda t: t**-1.2 * np.ones(3),  # not integrable at 0
+    lambda t: np.log(t / 1.01e-6) * np.ones(3),  # changes sign between the first samples
+], ids=["nonintegrable", "sign-change"])
+def test_laplace_check_refuses_a_sliver_that_is_not_an_integrable_power(monkeypatch, values):
+    monkeypatch.setattr(fracresolvent.evolution, "scalar_mode_values",
+                        lambda quad, kernel, lam, t: values(t))
+    with pytest.raises(RefinementNeededError, match="not power laws"):
+        laplace_check(make_diagonal([0.5, 1.0, 5.0]), cfg_with(), 1.0, x=np.ones(3))
 
 
 def test_laplace_check_validation():

@@ -35,7 +35,6 @@ def test_kimura_single_node_resolvent():
 
 def test_kimura_assembly_invariants():
     op = assemble_kimura(64)
-    assert np.array_equal(op.stiffness.sub, op.stiffness.sup)
     assert np.all(op.lumped_mass > 0.0)
     lam = op.eigensystem().eigenvalues
     assert lam[0] >= -1e-10
@@ -116,15 +115,14 @@ def test_bessel_flat_mode_in_interior():
     op = assemble_bessel(0.25, 20.0, 50)
     s = op.stiffness
     row = s.diag.copy()
-    row[:-1] += s.sup
-    row[1:] += s.sub
+    row[:-1] += s.off
+    row[1:] += s.off
     assert np.max(np.abs(row[:-1])) <= 1e-10 * np.max(np.abs(s.diag))
     assert row[-1] > 0.0  # boundary row feels the constraint
 
 
 def test_bessel_assembly_invariants():
     op = assemble_bessel(0.25, 20.0, 64)
-    assert np.array_equal(op.stiffness.sub, op.stiffness.sup)
     assert np.all(op.lumped_mass > 0.0)
     assert op.eigensystem().eigenvalues[0] >= -1e-10
 
@@ -156,10 +154,20 @@ def test_resolve_matches_dense():
     x = resolve(op, z, b)
     s = op.stiffness
     dense = np.diag(z * op.lumped_mass - s.diag).astype(np.complex128)
-    dense -= np.diag(s.sup, 1)
-    dense -= np.diag(s.sub, -1)
+    dense -= np.diag(s.off, 1) + np.diag(s.off, -1)
     oracle = np.linalg.solve(dense, op.lumped_mass * b)
     assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-320])
+def test_resolve_tiny_rhs_does_not_underflow(c):
+    """A right-hand side whose norm underflows still gets c times the unit solve,
+    to roundoff and the spacing of subnormals, not zeros."""
+    op = assemble_kimura(10)
+    unit = resolve(op, -1.0 + 1.0j, np.ones(10))
+    x = resolve(op, -1.0 + 1.0j, c * np.ones(10))
+    tol = 1e-15 * c * np.max(np.abs(unit)) + 4.0 * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(x - c * unit)) <= tol
 
 
 def test_resolvent_first_identity():
@@ -223,7 +231,7 @@ def test_sectoriality_narrower_angle():
 
 def test_sectoriality_fails_above_bound():
     """A negative eigenvalue pushes the resolvent growth past the sector bound."""
-    stiff = TridiagonalMatrix(sub=np.zeros(0), diag=np.array([-0.5]), sup=np.zeros(0))
+    stiff = TridiagonalMatrix(np.array([-0.5]), np.zeros(0))
     op = DiscreteOperator(kind="negative", stiffness=stiff, lumped_mass=np.ones(1))
     report = sectoriality_check(op, 3.0 * math.pi / 4.0)
     assert report.m_theta_hat == pytest.approx(2.0, rel=1e-12)

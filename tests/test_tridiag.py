@@ -16,33 +16,33 @@ from fracresolvent.tridiag import (
 def dense(m: TridiagonalMatrix) -> np.ndarray:
     d = np.diag(np.asarray(m.diag, dtype=np.complex128))
     if m.n > 1:
-        d += np.diag(np.asarray(m.sup, dtype=np.complex128), 1)
-        d += np.diag(np.asarray(m.sub, dtype=np.complex128), -1)
+        off = np.asarray(m.off, dtype=np.complex128)
+        d += np.diag(off, 1) + np.diag(off, -1)
     return d
 
 
 def test_solve_identity():
-    m = TridiagonalMatrix(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
+    m = TridiagonalMatrix(np.ones(3), np.zeros(2))
     rhs = np.array([1.0, 2.0, 3.0])
     assert np.allclose(solve_tridiagonal(m, rhs), rhs, rtol=0, atol=1e-14)
 
 
 def test_solve_two_by_two_hand_value():
-    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.array([2.0, 2.0]), sup=np.array([1.0]))
+    m = TridiagonalMatrix(np.array([2.0, 2.0]), np.array([1.0]))
     x = solve_tridiagonal(m, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-14)
 
 
 def test_solve_matches_dense_oracle():
-    """Random diagonally dominant complex systems against dense elimination."""
+    """Random diagonally dominant complex-symmetric systems, the kind resolve
+    forms, against dense elimination."""
     rng = np.random.default_rng(42)
     for _ in range(8):
         n = int(rng.integers(2, 51))
-        sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        sup = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         diag += 4.0 * np.sign(diag.real + 1e-9)  # keep rows dominant
-        m = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+        m = TridiagonalMatrix(diag, off)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = solve_tridiagonal(m, rhs)
         oracle = np.linalg.solve(dense(m), rhs)
@@ -51,13 +51,26 @@ def test_solve_matches_dense_oracle():
         assert residual <= 1e-10
 
 
+def test_solve_tiny_rhs_is_the_scaled_unit_solve():
+    """A right-hand side below 2^-500 is solved at unit size and scaled back by a
+    power of 2, so the answer is the unit solve's bits, scaled; zero stays zero."""
+    rng = np.random.default_rng(5)
+    n = 30
+    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 4.0
+    m = TridiagonalMatrix(diag, rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tiny = solve_tridiagonal(m, 2.0**-600 * b)
+    assert np.array_equal(tiny, 2.0**-600 * solve_tridiagonal(m, b))
+    assert np.array_equal(solve_tridiagonal(m, np.zeros(n)), np.zeros(n))
+
+
 def test_solve_singular_pivot():
-    m = TridiagonalMatrix(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
+    m = TridiagonalMatrix(np.array([0.0]), np.zeros(0))
     with pytest.raises(SingularMatrixError) as info:
         solve_tridiagonal(m, np.array([1.0]))
     assert info.value.index == 0
     # [[1, 1], [1, 1]]: the zero pivot appears only at the second row
-    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.ones(2), sup=np.array([1.0]))
+    m = TridiagonalMatrix(np.ones(2), np.array([1.0]))
     with pytest.raises(SingularMatrixError) as info:
         solve_tridiagonal(m, np.array([1.0, 2.0]))
     assert info.value.index == 1
@@ -65,27 +78,27 @@ def test_solve_singular_pivot():
 
 def test_solve_zero_diagonal_needs_pivoting():
     """[[0, 1], [1, 0]] is nonsingular; only a row swap gets past its zero diagonal."""
-    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.zeros(2), sup=np.array([1.0]))
+    m = TridiagonalMatrix(np.zeros(2), np.array([1.0]))
     x = solve_tridiagonal(m, np.array([1.0, 2.0]))
     assert np.allclose(x, [2.0, 1.0], rtol=0, atol=1e-14)
 
 
 def test_eigh_already_diagonal():
-    m = TridiagonalMatrix(sub=np.zeros(2), diag=np.array([1.0, 2.0, 3.0]), sup=np.zeros(2))
+    m = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2))
     eig = eigh_tridiagonal(m)
     assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
     assert np.allclose(np.abs(eig.eigenvectors), np.eye(3), atol=1e-12)
 
 
 def test_eigh_two_by_two_closed_form():
-    m = TridiagonalMatrix(sub=np.array([1.0]), diag=np.zeros(2), sup=np.array([1.0]))
+    m = TridiagonalMatrix(np.zeros(2), np.array([1.0]))
     eig = eigh_tridiagonal(m)
     assert np.allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
 def test_eigh_discrete_laplacian():
     n = 100
-    m = TridiagonalMatrix(sub=-np.ones(n - 1), diag=2.0 * np.ones(n), sup=-np.ones(n - 1))
+    m = TridiagonalMatrix(2.0 * np.ones(n), -np.ones(n - 1))
     eig = eigh_tridiagonal(m)
     k = np.arange(1, n + 1)
     exact = 2.0 - 2.0 * np.cos(k * np.pi / (n + 1))
@@ -95,8 +108,8 @@ def test_eigh_discrete_laplacian():
 def test_eigh_invariants_random():
     rng = np.random.default_rng(3)
     n = 40
-    sub = rng.standard_normal(n - 1)
-    m = TridiagonalMatrix(sub=sub, diag=rng.standard_normal(n), sup=sub.copy())
+    off = rng.standard_normal(n - 1)
+    m = TridiagonalMatrix(rng.standard_normal(n), off)
     eig = eigh_tridiagonal(m)
     a = dense(m).real
     # residual and orthogonality per the decomposition contract
@@ -119,23 +132,20 @@ def _power(op: DiscreteOperator, gamma: float, x: np.ndarray) -> np.ndarray:
 
 
 def _psd_op(rng, n):
-    sub = rng.uniform(-0.4, 0.4, n - 1)
+    off = rng.uniform(-0.4, 0.4, n - 1)
     diag = rng.uniform(2.0, 4.0, n)
-    return _identity_mass(TridiagonalMatrix(sub=sub, diag=diag, sup=sub.copy()))
+    return _identity_mass(TridiagonalMatrix(diag, off))
 
 
 def _single(*diag):
-    k = len(diag)
-    return _identity_mass(
-        TridiagonalMatrix(sub=np.zeros(k - 1), diag=np.array(diag), sup=np.zeros(k - 1))
-    )
+    return _identity_mass(TridiagonalMatrix(np.array(diag), np.zeros(len(diag) - 1)))
 
 
 def test_frac_power_endpoints():
     rng = np.random.default_rng(11)
     op = _psd_op(rng, 12)
     x = rng.standard_normal(12)
-    a = op.stiffness.to_dense() @ x
+    a = dense(op.stiffness).real @ x
     assert np.max(np.abs(_power(op, 1.0, x) - a)) <= 1e-12
 
 
@@ -194,13 +204,13 @@ def test_solve_spectral_consistency():
     """Shifted solves agree with the spectral evaluation for z above the spectrum."""
     rng = np.random.default_rng(17)
     n = 25
-    sub = rng.uniform(-0.5, 0.5, n - 1)
+    off = rng.uniform(-0.5, 0.5, n - 1)
     diag = rng.uniform(1.0, 3.0, n)
-    m = TridiagonalMatrix(sub=sub, diag=diag, sup=sub.copy())
+    m = TridiagonalMatrix(diag, off)
     eig = eigh_tridiagonal(m)
     z = float(eig.eigenvalues[-1]) + 2.0
     b = rng.standard_normal(n)
-    shifted = TridiagonalMatrix(sub=-sub, diag=z - diag, sup=-sub.copy())
+    shifted = TridiagonalMatrix(z - diag, -off)
     x = solve_tridiagonal(shifted, b)
     spectral = eig.eigenvectors @ ((eig.eigenvectors.T @ b) / (z - eig.eigenvalues))
     assert np.max(np.abs(x - spectral)) <= 1e-8
