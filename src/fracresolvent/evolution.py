@@ -5,8 +5,8 @@ along the hyperbolic contour of contour.py.  The spectral shift is
 s^(alpha-1), mapping small Laplace frequencies to large spectral
 parameters, which is what makes almost sectorial generators (no resolvent
 control near 0) usable: the contour stays a distance mu (1 - sin phi) / t0
-from the origin, t0 the first time of the window of times it serves, so it
-never asks for the resolvent near the spectral origin.
+from the origin, t0 the first time of the window it serves or the lag of a
+forced term, so it never asks for the resolvent near the spectral origin.
 
 Note the resolvent sign: A is assembled positive semidefinite and the
 dynamics is u' (fractional) + A u = f, so every evaluation solves
@@ -15,7 +15,8 @@ the contour because s^(alpha-1) stays a positive angle away from the
 negative real axis whenever the angle condition holds.
 
 The vector work is whole-array: a window's node solves are combined for
-all of its times by one matrix product, and a run's norms are taken in one pass.
+all of its times by one matrix product, a forced time's lags share one kernel
+evaluation on their scaled nodes, and a run's norms are taken in one pass.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fracresolvent.operators import DiscreteOperator, resolve
 from fracresolvent.tridiag import EIGENVALUE_CLAMP
 
 DEFAULT_CONV_SUBINTERVALS = 64
-LAPLACE_T_MIN = 1e-6
+LAPLACE_T_MIN = 1e-10
 LAPLACE_TAIL_FACTOR = 40.0
 LAPLACE_TOL = 1e-3
 LAPLACE_POINTS_PER_DECADE = 48
@@ -173,16 +174,19 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, rhs) -> np
     rhs(s) is the right-hand side at node s: x alone gives V(t) x, and
     x / s and x / s^2 give its first and second integrals in time, whose
     extra pole at s = 0 the contour encloses.  rhs is called once, on the
-    nodes as a column, so it broadcasts to one row per node.  Each node makes
-    one solve y_j, shared by the window's times; the rows are one product
-    -2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), Y the stack of this window's solves.
+    nodes as a column; the window's times share each node's solve.
     """
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
     s, factor = _node_factors(quad, cfg.kernel, times[:, None])
-    b = np.broadcast_to(rhs(s[:, None]), (s.size, op.n))
-    ys = np.empty((s.size, op.n), dtype=np.complex128)
-    for j, (zj, bj) in enumerate(zip(redirect(s, cfg.kernel.alpha), b)):
+    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, rhs(s[:, None]))
+
+
+def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
+    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b_j."""
+    b = np.broadcast_to(b, (z.size, op.n))
+    ys = np.empty((z.size, op.n), dtype=np.complex128)
+    for j, (zj, bj) in enumerate(zip(z, b)):
         # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
         ys[j] = resolve(op, -zj, bj)
     return -2.0 * np.real(factor @ ys)
@@ -244,7 +248,9 @@ def mild_solution(
     inversion of (sigma_j - sigma_{j-1}) / s^2.  Only f is approximated,
     to second order in t / n_sub; the stiff modes' fast transients are
     integrated through the transform, and every lag is at least t / n_sub.
-    Each lag has a contour of its own; unforced, each time_windows window shares one.
+    Every lag r runs the one unit-time rule of the call scaled by 1 / r, so
+    e^(s r) is e^(unit node), and the kernel is evaluated once per output
+    time; unforced, each time_windows window shares one contour.
     """
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
@@ -257,15 +263,19 @@ def mild_solution(
         for window in time_windows(cfg.contour, cfg.times, cfg.tol):
             states[window] = _inverse_apply(op, cfg, cfg.times[window], lambda s: u0)
     else:
-        for it, t in enumerate(cfg.times):
-            t = float(t)
+        unit = build_quadrature(cfg.contour, 1.0, cfg.tol)
+        for it, t in enumerate(cfg.times.tolist()):
             h = t / n_sub
             f = np.array([_forcing_at(cfg.forcing, j * h, op.n) for j in range(n_sub + 1)])
             # slope jumps sigma_j - sigma_(j-1), with sigma_(-1) = 0
             jumps = np.diff(np.diff(f, axis=0) / h, axis=0, prepend=0.0)
-            u = _inverse_apply(op, cfg, [t], lambda s: u0 + f[0] / s + jumps[0] / s**2)[0]
+            lags = (t - np.arange(n_sub) * h)[:, None]
+            s = unit.nodes / lags  # row j: the nodes of lag t - j h
+            factor = unit.weights / lags * np.exp(unit.nodes) * eval_kernel(cfg.kernel, s)
+            z, c = redirect(s, cfg.kernel.alpha), s[:, :, None]
+            u = _node_solves(op, z[0], factor[:1], u0 + f[0] / c[0] + jumps[0] / c[0]**2)[0]
             for j in range(1, n_sub):
-                u = u + _inverse_apply(op, cfg, [t - j * h], lambda s: jumps[j] / s**2)[0]
+                u = u + _node_solves(op, z[j], factor[j:j + 1], jumps[j] / c[j]**2)[0]
             states[it] = u
     return EvolutionResult(states=states, smoothed_norms=_smoothed_norms(op, cfg.gamma, states))
 
@@ -296,9 +306,9 @@ def laplace_check(
     """Verify the transform identity at frequency lam > 0.
 
     lhs integrates e^(-lam t) V(t) x over a log-spaced grid on
-    [1e-6, 40/lam] (trapezoid in log t).  On the [0, 1e-6] sliver each mode
+    [1e-10, 40/lam] (trapezoid in log t).  On the [0, 1e-10] sliver each mode
     is the power law t^(-p) through the first two grid samples, whose integral
-    is T v(T) e^(-lam T) / (1 - p) at T = 1e-6; a p that is not finite or
+    is T v(T) e^(-lam T) / (1 - p) at T = 1e-10; a p that is not finite or
     not below 1 is a refinement error.  Doubling the grid density from
     LAPLACE_POINTS_PER_DECADE must move lhs by less than LAPLACE_TOL / 2
     or a refinement error is raised.  rhs is K(lam) (lam^(alpha-1) I + A)^(-1) x

@@ -417,6 +417,66 @@ def test_mild_solve_counts(monkeypatch, times, forcing, solves):
     assert len(calls) == solves
 
 
+def _per_lag_mild(op, cfg, n_sub):
+    """Forced states with a contour of each lag's own: build_quadrature(spec, [t - j h], tol)
+    and one resolve per node, for every lag j of every output time."""
+    states = []
+    for t in cfg.times:
+        h = t / n_sub
+        f = np.array([cfg.forcing(j * h) for j in range(n_sub + 1)])
+        slopes = np.diff(f, axis=0) / h
+        jumps = slopes - np.vstack([np.zeros(op.n), slopes[:-1]])
+        u = np.zeros(op.n)
+        for j in range(n_sub):
+            lag = t - j * h
+            quad = build_quadrature(cfg.contour, [lag], cfg.tol)
+            for s, w in zip(quad.nodes, quad.weights):
+                b = jumps[j] / s**2 + (cfg.u0 + f[0] / s if j == 0 else 0.0)
+                y = resolve(op, -redirect(s, cfg.kernel.alpha), b)
+                u = u - 2.0 * np.real(w * np.exp(s * lag) * eval_kernel(cfg.kernel, s) * y)
+        states.append(u)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n_sub", (2, 64))
+@pytest.mark.parametrize("kernel", (ABC_HALF, KernelParams(kind="w", alpha=0.5, beta=0.8)),
+                         ids=("abc", "w"))
+@pytest.mark.parametrize("op", (assemble_kimura(40), assemble_bessel(0.25, 20.0, 40)),
+                         ids=("kimura", "bessel"))
+def test_mild_lags_share_the_unit_rule(op, kernel, n_sub):
+    """The unit-time rule scaled by 1 / lag gives each lag's own contour: the
+    states equal the per-lag reference to 1e-12 relative."""
+    x = np.linspace(0.0, 1.0, op.n)
+    cfg = cfg_with(kernel=kernel, times=(0.1, 1.0), u0=np.sin(np.pi * x),
+                   forcing=lambda tau: np.sin(5.0 * tau) + 0.5 + x)
+    got = mild_solution(op, cfg, n_sub=n_sub).states
+    want = _per_lag_mild(op, cfg, n_sub)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_forced_run_builds_one_rule(monkeypatch):
+    """A forced run builds one quadrature per call and evaluates the kernel once
+    per output time, on the (n_sub, M) nodes of all of its lags."""
+    build, kernel = fracresolvent.evolution.build_quadrature, fracresolvent.evolution.eval_kernel
+    built, shapes = [], []
+
+    def counted_build(spec, t, tol):
+        built.append(t)
+        return build(spec, t, tol)
+
+    def counted_kernel(params, s):
+        shapes.append(np.shape(s))
+        return kernel(params, s)
+
+    monkeypatch.setattr(fracresolvent.evolution, "build_quadrature", counted_build)
+    monkeypatch.setattr(fracresolvent.evolution, "eval_kernel", counted_kernel)
+    cfg = cfg_with(times=(0.1, 0.5, 1.0), u0=np.ones(20), forcing=lambda tau: np.ones(20))
+    mild_solution(assemble_kimura(20), cfg, n_sub=8)
+    assert built == [1.0]
+    assert shapes == [(8, 15)] * 3
+
+
 def test_mild_forcing_failures_are_located():
     op = make_diagonal([1.0])
     cfg = cfg_with(times=(1.0,), u0=np.zeros(1), forcing=lambda tau: 1.0 / (tau - 0.5))
@@ -473,8 +533,9 @@ def test_laplace_check_unchanged_by_numpy_trapezoid(monkeypatch):
 
 
 def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
-    """The coarse and fine log grids (366 and 731 times at lam = 1) are each
-    grouped into time windows: 16 contours, where one per time made 1,097."""
+    """The coarse and fine log grids over [1e-10, 40] (558 and 1,115 times at
+    lam = 1) are each grouped into time windows: 24 contours, where one per
+    time would make 1,673."""
     build = fracresolvent.evolution.build_quadrature
     sizes = []
 
@@ -486,24 +547,26 @@ def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
     op = assemble_kimura(30)
     report = laplace_check(op, cfg_with(), 1.0, x=np.sin(np.pi * np.arange(1, 31) / 31.0))
     assert report.rel_err <= 1e-3
-    assert (len(sizes), sum(sizes)) == (16, 366 + 731)
+    assert (len(sizes), sum(sizes)) == (24, 558 + 1115)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.8), (0.3, 0.5)])
 def test_laplace_check_w_kernel_sliver(alpha, beta):
-    """The w modes grow like t^(-alpha) near 0; the [0, 1e-6] sliver is integrated
-    as that power law, where a rectangle missed about 1.6e-2 at alpha = 1/2."""
+    """The w modes grow like t^(-alpha) near 0; the [0, 1e-10] sliver is integrated
+    as that power law.  At LAPLACE_T_MIN = 1e-6 the power law's next term left
+    6.4e-4 at alpha = 1/2, which grid_delta (6.7e-6) did not see; at 1e-10 the
+    rel_err is 6.0e-8 and 5.2e-11."""
     kernel = KernelParams(kind="w", alpha=alpha, beta=beta)
     cfg = cfg_with(contour=default_contour_spec(alpha, 1e-8), kernel=kernel)
     x = np.sin(np.pi * np.arange(1, 201) / 201.0)
     report = laplace_check(assemble_kimura(200), cfg, 1.0, x=x)
-    assert report.rel_err <= LAPLACE_TOL
+    assert report.rel_err <= 1e-6
     assert report.grid_delta <= 0.5 * LAPLACE_TOL
 
 
 @pytest.mark.parametrize("values", [
     lambda t: t**-1.2 * np.ones(3),  # not integrable at 0
-    lambda t: np.log(t / 1.01e-6) * np.ones(3),  # changes sign between the first samples
+    lambda t: np.log(t / 1.01e-10) * np.ones(3),  # changes sign between the first samples
 ], ids=["nonintegrable", "sign-change"])
 def test_laplace_check_refuses_a_sliver_that_is_not_an_integrable_power(monkeypatch, values):
     monkeypatch.setattr(fracresolvent.evolution, "scalar_mode_values",
