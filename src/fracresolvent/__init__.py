@@ -44,7 +44,6 @@ from fracresolvent.experiments import (
     load_config,
     local_exponent,
     parse_config,
-    read_table,
     run_experiment,
     smoothing_sweep,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "mild_solution",
     "min_theta",
     "parse_config",
-    "read_table",
     "redirect",
     "resolve",
     "resolvent_apply",

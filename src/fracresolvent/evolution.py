@@ -144,13 +144,12 @@ def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
     return s, quad.weights * np.exp(s * t) * eval_kernel(kernel, s)
 
 
-def _require_psd(op: DiscreteOperator) -> None:
-    """Refuse a pencil with eigenvalues below EIGENVALUE_CLAMP, found by one Sturm count."""
-    below = op.eigenvalues_below(EIGENVALUE_CLAMP)
-    if below.size:
+def _require_psd(lam: np.ndarray) -> None:
+    """Refuse a pencil whose ascending eigenvalues lam start below EIGENVALUE_CLAMP."""
+    if lam.size and lam[0] < EIGENVALUE_CLAMP:
         raise NumericalError(
             "eigenvalue %g below the clamp threshold %g: operator is not PSD"
-            % (below[0], EIGENVALUE_CLAMP)
+            % (lam[0], EIGENVALUE_CLAMP)
         )
 
 
@@ -158,28 +157,23 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
     """Eigenvalues of A for _fractional_power and laplace_check's mode values, roundoff
     negatives set to 0; a pencil that is not PSD is refused."""
     lam = op.eigensystem().eigenvalues
-    _require_psd(op)
+    _require_psd(lam)
     return np.maximum(lam, 0.0)
 
 
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """V(t) x by one banded solve per contour node."""
     x = op.check_vector(np.asarray(x, dtype=np.float64))
-    return _inverse_apply(op, cfg, [t], lambda s: x)[0]
+    return _inverse_apply(op, cfg, [t], x)[0]
 
 
-def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, rhs) -> np.ndarray:
-    """Inverse transform of K(s) (s^(alpha-1) I + A)^(-1) rhs(s) at each of a window of times.
-
-    rhs(s) is the right-hand side at node s: x alone gives V(t) x, and
-    x / s and x / s^2 give its first and second integrals in time, whose
-    extra pole at s = 0 the contour encloses.  rhs is called once, on the
-    nodes as a column; the window's times share each node's solve.
-    """
+def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.ndarray:
+    """V(t) x, the inverse transform of K(s) (s^(alpha-1) I + A)^(-1) x, at each of a
+    window of times; the window's times share each node's solve."""
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
     s, factor = _node_factors(quad, cfg.kernel, times[:, None])
-    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, rhs(s[:, None]))
+    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, x)
 
 
 def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
@@ -220,7 +214,7 @@ def _smoothed_norms(op: DiscreteOperator, gamma: float, states: np.ndarray) -> n
     """smoothed_norm of every row of states in one pass.  At gamma == 1/2, S U is formed
     band-wise before the row-wise dot, so the cancellation in u^T S u stays local."""
     if gamma == 0.5:
-        _require_psd(op)
+        _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
         form = np.einsum("ij,ij->i", states.conj(), op.stiffness.matvec(states)).real
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return np.sqrt(np.maximum(form, 0.0))
@@ -261,7 +255,7 @@ def mild_solution(
     states = np.zeros((len(cfg.times), op.n))
     if cfg.forcing is None:
         for window in time_windows(cfg.contour, cfg.times, cfg.tol):
-            states[window] = _inverse_apply(op, cfg, cfg.times[window], lambda s: u0)
+            states[window] = _inverse_apply(op, cfg, cfg.times[window], u0)
     else:
         unit = build_quadrature(cfg.contour, 1.0, cfg.tol)
         for it, t in enumerate(cfg.times.tolist()):

@@ -3,8 +3,10 @@
 Configs are flat UTF-8 text, one `section.key = value` per line, with
 '#' comments.  Every key is listed in _KEY_TABLE below with the run modes
 that read it; any other key, or a key its run.mode does not read, is
-rejected with its line number.  All numeric cross-field constraints are
-re-validated by the upstream dataclasses at build time.
+rejected with its line number.  ExperimentConfig refuses a run.mode,
+operator.kind or kernel.kind off its menu, from a file or built in code.
+All numeric cross-field constraints are re-validated by the upstream
+dataclasses at build time.
 """
 
 from __future__ import annotations
@@ -68,7 +70,19 @@ class ExperimentConfig:
     svg_path: str | None = None
 
     def __post_init__(self):
-        _parse_mode(self.mode)
+        if self.mode not in MODES:
+            raise ConfigurationError("run.mode must be one of %s, got %r"
+                                     % (", ".join(MODES), self.mode))
+        if self.operator_kind not in (KIMURA, BESSEL):
+            raise ConfigurationError(
+                "operator.kind must be kimura or bessel (diagonal operators are "
+                "built in code, not from configs), got %r" % self.operator_kind
+            )
+        if self.kernel_kind not in (ABC, W, CAPUTO_PROBE):
+            raise ConfigurationError(
+                "kernel.kind must be abc or w, or caputo_probe in admissibility mode, "
+                "got %r" % self.kernel_kind
+            )
         if self.t_count < 3:
             raise ConfigurationError("run.t_count must be >= 3, got %r" % self.t_count)
         if not 0.0 < self.t_min < self.t_max:
@@ -110,40 +124,16 @@ class DecayTable:
 
 # --- config parsing ---------------------------------------------------------
 
-def _parse_operator_kind(v):
-    if v not in (KIMURA, BESSEL):
-        raise ConfigurationError(
-            "operator.kind must be kimura or bessel (diagonal operators are "
-            "built in code, not from configs), got %r" % v
-        )
-    return v
-
-
-def _parse_kernel_kind(v):
-    if v not in (ABC, W, CAPUTO_PROBE):
-        raise ConfigurationError(
-            "kernel.kind must be abc or w, or caputo_probe in admissibility mode, "
-            "got %r" % v
-        )
-    return v
-
-
-def _parse_mode(v):
-    if v not in MODES:
-        raise ConfigurationError("run.mode must be one of %s, got %r" % (", ".join(MODES), v))
-    return v
-
-
 # the modes that read each key; a config setting a key its mode does not read is refused
 _SMOOTHING = ("smoothing",)
 _KERNEL = ("smoothing", "admissibility")
 _KEY_TABLE = {
-    "run.mode": ("mode", _parse_mode, MODES),
-    "operator.kind": ("operator_kind", _parse_operator_kind, _SMOOTHING),
+    "run.mode": ("mode", str, MODES),
+    "operator.kind": ("operator_kind", str, _SMOOTHING),
     "operator.n": ("n", int, _SMOOTHING),
     "operator.nu": ("nu", float, _SMOOTHING),
     "operator.r_max": ("r_max", float, _SMOOTHING),
-    "kernel.kind": ("kernel_kind", _parse_kernel_kind, _KERNEL),
+    "kernel.kind": ("kernel_kind", str, _KERNEL),
     "kernel.alpha": ("alpha", float, MODES),
     "kernel.beta": ("beta", float, _KERNEL),
     "kernel.B": ("b", float, _KERNEL),
@@ -185,10 +175,10 @@ def parse_config(text: str) -> ExperimentConfig:
             values[attr] = conv(val)
             if conv is float and not math.isfinite(values[attr]):
                 raise ValueError("must be finite, got %r" % val)
-        except ConfigurationError:
-            raise
         except ValueError as exc:
             raise ConfigurationError("line %d: bad value for %r: %s" % (lineno, key, exc))
+        if conv is str:  # ExperimentConfig refuses an off-menu mode or kind at its line
+            ExperimentConfig(**{attr: values[attr]})
     mode = values.get("mode", "smoothing")
     for key, lineno in lines.items():
         readers = _KEY_TABLE[key][2]
@@ -366,8 +356,6 @@ def emit_outputs(table: DecayTable, csv_path, svg_path=None) -> None:
     CSV: header exactly CSV_HEADER, rows as _write_table formats them, so a
     missing exponent is an empty field.
     """
-    if table.n_rows == 0:
-        raise ConfigurationError("refusing to emit an empty table")
     _write_table(csv_path, CSV_HEADER, table.times, table.norms,
                  table.bound_alpha_gamma, table.bound_gamma, table.local_exponent)
     if svg_path is not None:
@@ -381,31 +369,6 @@ def _write_text(path, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OutputError("cannot write %s: %s" % (path, exc)) from exc
-
-
-def read_table(csv_path) -> DecayTable:
-    """Inverse of emit_outputs' CSV for round-trip checks."""
-    try:
-        text = Path(csv_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OutputError("cannot read %s: %s" % (csv_path, exc)) from exc
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigurationError("unrecognized CSV header in %s" % csv_path)
-    cols = [[], [], [], [], []]
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ConfigurationError("malformed CSV row: %r" % ln)
-        for j, p in enumerate(parts):
-            cols[j].append(math.nan if (j == 4 and p == "") else float(p))
-    return DecayTable(
-        times=np.array(cols[0]),
-        norms=np.array(cols[1]),
-        bound_alpha_gamma=np.array(cols[2]),
-        bound_gamma=np.array(cols[3]),
-        local_exponent=np.array(cols[4]),
-    )
 
 
 def run_experiment(config_path) -> int:

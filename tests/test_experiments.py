@@ -11,7 +11,7 @@ import pytest
 
 import fracresolvent.operators
 from fracresolvent.contour import DEFAULT_THETA, build_quadrature, min_theta, time_windows
-from fracresolvent.errors import ConfigurationError, OutputError
+from fracresolvent.errors import ConfigurationError
 from fracresolvent.evolution import _clamped_spectrum, check_pairing, scalar_mode_values
 from fracresolvent.experiments import (
     _KEY_TABLE,
@@ -27,7 +27,6 @@ from fracresolvent.experiments import (
     load_config,
     local_exponent,
     parse_config,
-    read_table,
     run_experiment,
     smoothing_sweep,
 )
@@ -132,11 +131,20 @@ def test_parse_rejects_off_menu_values():
         parse_config("operator.kind = heat\n")
     with pytest.raises(ConfigurationError, match="abc or w, or caputo_probe"):
         parse_config("kernel.kind = mittag\n")
+    with pytest.raises(ConfigurationError, match="run.mode must be one of"):
+        parse_config("run.mode = decay\n")
+    # an off-menu value is refused at its line, before a later line's fault
+    with pytest.raises(ConfigurationError, match="kimura or bessel"):
+        parse_config("operator.kind = heat\nfoo.bar = 1\n")
 
 
 def test_config_field_validation():
     with pytest.raises(ConfigurationError, match="run.mode"):
         ExperimentConfig(mode="decay")
+    with pytest.raises(ConfigurationError, match="kimura or bessel"):
+        ExperimentConfig(operator_kind="heat")
+    with pytest.raises(ConfigurationError, match="abc or w, or caputo_probe"):
+        ExperimentConfig(kernel_kind="mittag")
     with pytest.raises(ConfigurationError, match="t_count"):
         ExperimentConfig(t_count=2)
     with pytest.raises(ConfigurationError, match="t_min"):
@@ -376,7 +384,7 @@ def test_csv_round_trip(sweep_table, tmp_path):
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].endswith(",")  # first exponent is undefined -> empty field
-    back = read_table(first)
+    back = DecayTable(*np.genfromtxt(first, delimiter=",", skip_header=1, unpack=True))
     assert np.array_equal(back.times, sweep_table.times)
     assert np.array_equal(back.norms, sweep_table.norms)
     assert np.array_equal(back.bound_alpha_gamma, sweep_table.bound_alpha_gamma)
@@ -385,18 +393,6 @@ def test_csv_round_trip(sweep_table, tmp_path):
                           equal_nan=True)
     emit_outputs(back, second)
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_read_table_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("time,value\n1,2\n")
-    with pytest.raises(ConfigurationError, match="header"):
-        read_table(p)
-    p.write_text(CSV_HEADER + "\n1,2,3\n")
-    with pytest.raises(ConfigurationError, match="malformed"):
-        read_table(p)
-    with pytest.raises(OutputError):
-        read_table(tmp_path / "absent.csv")
 
 
 # --- caputo probe --------------------------------------------------------------

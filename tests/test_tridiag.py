@@ -175,7 +175,7 @@ def test_frac_power_rejects_negative_spectrum():
 
 def test_half_power_norm_rejects_negative_spectrum():
     """The u^T S u route of smoothed_norm refuses what the spectral route refuses,
-    both by one Sturm count against the -1e-10 clamp, naming the lowest eigenvalue."""
+    both against the -1e-10 clamp, naming the lowest eigenvalue."""
     with pytest.raises(NumericalError, match="not PSD"):
         smoothed_norm(_single(-1.0), 0.5, np.array([1.0]))
     slightly_negative = _single(2.0, -1e-9, 3.0)
