@@ -10,9 +10,9 @@ forced term, so it never asks for the resolvent near the spectral origin.
 
 Note the resolvent sign: A is assembled positive semidefinite and the
 dynamics is u' (fractional) + A u = f, so every evaluation solves
-(s^(alpha-1) M + S) y = M x.  These systems are uniformly nonsingular on
-the contour because s^(alpha-1) stays a positive angle away from the
-negative real axis whenever the angle condition holds.
+(s^(alpha-1) M + S) y = M x.  These systems are nonsingular on the contour
+because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
+negative real axis whatever the angle condition's lower bound.
 
 The vector work is whole-array: a window's node solves are combined for
 all of its times by one matrix product, a forced time's lags share one kernel
@@ -218,8 +218,7 @@ def _smoothed_norms(op: DiscreteOperator, gamma: float, states: np.ndarray) -> n
         form = np.einsum("ij,ij->i", states.conj(), op.stiffness.matvec(states)).real
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return np.sqrt(np.maximum(form, 0.0))
-    w = _fractional_power(op, gamma, states)
-    return np.sqrt(np.sum(op.lumped_mass * np.abs(w) ** 2, axis=1))
+    return op.weighted_norm(_fractional_power(op, gamma, states))
 
 
 def mild_solution(

@@ -85,10 +85,10 @@ class DiscreteOperator:
             )
         return x
 
-    def weighted_norm(self, x) -> float:
-        """M-weighted norm, the discrete analogue of the weighted L2 norm."""
-        x = np.asarray(x)
-        return float(np.sqrt(np.sum(self.lumped_mass * np.abs(x) ** 2).real))
+    def weighted_norm(self, x):
+        """M-weighted norm, the discrete analogue of the weighted L2 norm, over x's last
+        axis: a float for a vector, an array of row norms for a 2-d x."""
+        return np.sqrt(np.sum(self.lumped_mass * np.abs(np.asarray(x)) ** 2, axis=-1))
 
     def apply_spectral(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply g(A) given g's values on the spectrum of A~.

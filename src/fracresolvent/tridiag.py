@@ -68,17 +68,19 @@ def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     The backward error ||r|| / (||m|| ||x|| + ||rhs||) of the solve must
     reach 1e-10 or it is rejected as ill-conditioned.  (A residual scaled
     by ||rhs|| alone would grow with the condition number even for a
-    perfectly stable solve.)  An exactly zero pivot raises
-    SingularMatrixError naming its row.  A nonzero rhs with a norm below
-    2^-500 is solved scaled by a power of 2 to unit size, so no norm
-    underflows, and the answer is scaled back exactly.
+    perfectly stable solve.)  An exactly zero pivot raises SingularMatrixError
+    naming its row; an all-zero rhs returns zeros before LAPACK, even where
+    m is singular.  A nonzero rhs normed below 2^-500 is solved scaled by a
+    power of 2 to unit size, so no norm underflows, and scaled back exactly.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (m.n,):
         raise ValueError("rhs length %s does not match matrix order %d" % (rhs.shape, m.n))
     scale = np.linalg.norm(rhs)
     e = 0
-    if scale < _TINY_RHS and np.any(rhs):
+    if scale < _TINY_RHS:
+        if not np.any(rhs):
+            return np.zeros(m.n, dtype=np.complex128)
         e = int(np.frexp(np.max(np.abs(rhs)))[1])
         # np.ldexp refuses complex input, and 2.0**-e may overflow
         rhs = np.ldexp(rhs.astype(np.complex128).view(np.float64), -e).view(np.complex128)
@@ -88,8 +90,6 @@ def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     _, _, _, x, info = scipy.linalg.lapack.zgtsv(off, m.diag, off, rhs)
     if info > 0:
         raise SingularMatrixError("zero pivot at row %d" % (info - 1), index=info - 1)
-    if scale == 0.0:
-        return np.zeros_like(x)
     r = rhs - m.matvec(x)
     row_sum = np.abs(m.diag).astype(np.float64)
     abs_off = np.abs(m.off)

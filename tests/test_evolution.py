@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import erfc
 
@@ -388,29 +389,35 @@ def test_mild_product_rule_order():
     assert min(orders) >= 1.8
 
 
-@pytest.mark.parametrize("times, forcing, solves", (
-    ((0.1, 1.0), lambda tau: np.ones(50), 1920),
-    ((0.1, 1.0), None, 30),
-    (np.logspace(-3.0, 1.0, 33), None, 114),
+@pytest.mark.parametrize("times, forcing, solves, eliminations", (
+    ((0.1, 1.0), lambda tau: np.ones(50), 1920, 30),
+    ((0.1, 1.0), None, 30, 30),
+    (np.logspace(-3.0, 1.0, 33), None, 114, 114),
 ), ids=("forced", "free", "sweep"))
-def test_mild_solve_counts(monkeypatch, times, forcing, solves):
+def test_mild_solve_counts(monkeypatch, times, forcing, solves, eliminations):
     """Forced: 15 solves per inversion at tol = 1e-8, and per output time one
     inversion for V(t) u0 and the lag-0 forcing terms together, and one per
-    later lag.  Unforced: one inversion per window, whose contour serves
-    [t0, 10 t0]: 30 nodes for (0.1, 1); 30, 30, 30 and 24 for the windows
-    of 9, 9, 9 and 6 times of the 33-time sweep, where one inversion per
-    time made 495."""
-    solve = fracresolvent.operators.solve_tridiagonal
-    calls = []
+    later lag.  A forcing constant in tau has zero slope jumps after lag 0, so
+    only lag 0's 15 solves per output time reach zgtsv.  Unforced: one
+    inversion per window, whose contour serves [t0, 10 t0]: 30 nodes for
+    (0.1, 1); 30, 30, 30 and 24 for the windows of 9, 9, 9 and 6 times of
+    the 33-time sweep, where one inversion per time made 495."""
+    calls = {"solve": 0, "zgtsv": 0}
 
-    def counted(m, rhs):
-        calls.append(1)
-        return solve(m, rhs)
+    def counted(module, name, key):
+        f = getattr(module, name)
 
-    monkeypatch.setattr(fracresolvent.operators, "solve_tridiagonal", counted)
+        def g(*args):
+            calls[key] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, g)
+
+    counted(fracresolvent.operators, "solve_tridiagonal", "solve")
+    counted(scipy.linalg.lapack, "zgtsv", "zgtsv")
     cfg = cfg_with(times=times, u0=np.ones(50), forcing=forcing)
     mild_solution(assemble_kimura(50), cfg, n_sub=64)
-    assert len(calls) == solves
+    assert (calls["solve"], calls["zgtsv"]) == (solves, eliminations)
 
 
 def _per_lag_mild(op, cfg, n_sub):

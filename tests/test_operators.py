@@ -200,6 +200,15 @@ def test_resolve_near_spectrum_rejected():
         resolve(op, 3.0, np.array([1.0]))  # wrong length
 
 
+def test_resolve_at_an_eigenvalue_refuses_a_zero_rhs():
+    """The spectral guard runs before the solve, so a zero right-hand side, which the
+    solve would answer with zeros, is still refused on the spectrum."""
+    op = assemble_kimura(8)
+    for lam in op.eigensystem().eigenvalues[[0, 4]]:
+        with pytest.raises(SingularMatrixError, match="lies within"):
+            resolve(op, complex(lam), np.zeros(8))
+
+
 def test_apply_spectral_identity_and_norm():
     op = assemble_kimura(20)
     rng = np.random.default_rng(37)

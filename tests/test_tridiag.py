@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracresolvent.errors import NumericalError, SingularMatrixError
 from fracresolvent.evolution import _clamped_spectrum, smoothed_norm
@@ -74,6 +75,33 @@ def test_solve_singular_pivot():
     with pytest.raises(SingularMatrixError) as info:
         solve_tridiagonal(m, np.array([1.0, 2.0]))
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("m", (
+    TridiagonalMatrix(np.array([2.0]), np.zeros(0)),
+    TridiagonalMatrix(np.full(5, 4.0 + 1j), np.ones(4)),
+    TridiagonalMatrix(np.ones(2), np.array([1.0])),  # zero pivot at row 1
+), ids=("n1", "n5", "singular"))
+def test_solve_zero_rhs_skips_lapack(monkeypatch, m):
+    """An all-zero right-hand side is answered with complex zeros before LAPACK,
+    even on [[1, 1], [1, 1]], whose zero pivot test_solve_singular_pivot pins."""
+    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", None)  # a call raises TypeError
+    x = solve_tridiagonal(m, np.zeros(m.n))
+    assert x.dtype == np.complex128 and x.shape == (m.n,) and not np.any(x)
+
+
+def test_solve_subnormal_rhs_is_not_zero(monkeypatch):
+    """A one-entry 1e-320 right-hand side is nonzero: it takes the scaled solve."""
+    zgtsv, calls = scipy.linalg.lapack.zgtsv, []
+
+    def counted(*args):
+        calls.append(1)
+        return zgtsv(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", counted)
+    m = TridiagonalMatrix(np.array([2.0]), np.zeros(0))
+    x = solve_tridiagonal(m, np.array([1e-320]))
+    assert calls == [1] and x[0] == 0.5 * 1e-320
 
 
 def test_solve_zero_diagonal_needs_pivoting():
