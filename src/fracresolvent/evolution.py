@@ -14,9 +14,9 @@ dynamics is u' (fractional) + A u = f, so every evaluation solves
 because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
 negative real axis whatever the angle condition's lower bound.
 
-The vector work is whole-array: a window's node solves are combined for
-all of its times by one matrix product, a forced time's lags share one kernel
-evaluation on their scaled nodes, and a run's norms are taken in one pass.
+The vector work is whole-array in bounded memory: a window's node solves are
+combined for all of its times by one matrix product per 512 KiB chunk of them, a
+forced time's lags share one kernel evaluation, and a run's norms take one pass.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ LAPLACE_T_MIN = 1e-10
 LAPLACE_TAIL_FACTOR = 40.0
 LAPLACE_TOL = 1e-3
 LAPLACE_POINTS_PER_DECADE = 48
+_CHUNK_BYTES = 2**19  # node solves held at once by _node_solves, at least 8 rows
 
 
 def _check_gamma(gamma: float) -> None:
@@ -177,13 +178,20 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.n
 
 
 def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
-    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b_j."""
+    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b_j;
+    Y is solved and multiplied in chunks of max(8, _CHUNK_BYTES // (16 n)) rows."""
     b = np.broadcast_to(b, (z.size, op.n))
-    ys = np.empty((z.size, op.n), dtype=np.complex128)
-    for j, (zj, bj) in enumerate(zip(z, b)):
-        # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
-        ys[j] = resolve(op, -zj, bj)
-    return -2.0 * np.real(factor @ ys)
+    rows = max(8, _CHUNK_BYTES // (16 * op.n))
+    ys = np.empty((min(rows, z.size), op.n), dtype=np.complex128)
+    out = np.full((factor.shape[0], op.n), -0.0)  # -0.0 - x is -x bit for bit, zeros too
+    for lo in range(0, z.size, rows):
+        for j, (zj, bj) in enumerate(zip(z[lo:lo + rows], b[lo:lo + rows])):
+            # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
+            ys[j] = resolve(op, -zj, bj)
+        part = np.real(factor[:, lo:lo + rows] @ ys[:j + 1])
+        out -= np.multiply(part, 2.0, out=part)  # in place: no third (T, n) array
+        del part  # nor is the chunk's product held through the next chunk's solves
+    return out
 
 
 def _fractional_power(op: DiscreteOperator, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -201,21 +209,24 @@ def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> n
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
     """M-weighted norm of A^gamma u; gamma must lie in [0, 1).
 
-    gamma == 1/2 uses ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u on the
-    stiffness bands and forms no eigenvectors; the pencil is still
-    refused as not PSD when one Sturm count finds an eigenvalue below
-    EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
+    gamma == 1/2 sums ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u from the stiffness
+    bands in terms that do not cancel (see _smoothed_norms) and forms no eigenvectors;
+    the pencil is still refused as not PSD when one Sturm count finds an eigenvalue
+    below EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
     """
     _check_gamma(gamma)
     return float(_smoothed_norms(op, gamma, op.check_vector(np.asarray(u))[None, :])[0])
 
 
 def _smoothed_norms(op: DiscreteOperator, gamma: float, states: np.ndarray) -> np.ndarray:
-    """smoothed_norm of every row of states in one pass.  At gamma == 1/2, S U is formed
-    band-wise before the row-wise dot, so the cancellation in u^T S u stays local."""
+    """smoothed_norm of every row of states in one pass.  At gamma == 1/2, u^T S u is
+    sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off and r = S 1: on an assembled S each
+    w >= 0 and r is 0 up to rounding but at a Dirichlet end, so nothing cancels."""
     if gamma == 0.5:
         _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
-        form = np.einsum("ij,ij->i", states.conj(), op.stiffness.matvec(states)).real
+        d, s = np.diff(states, axis=-1), op.stiffness
+        form = (np.einsum("ij,j,ij->i", d.conj(), -s.off, d)
+                + np.einsum("ij,j,ij->i", states.conj(), s.matvec(np.ones(s.n)), states)).real
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return np.sqrt(np.maximum(form, 0.0))
     return op.weighted_norm(_fractional_power(op, gamma, states))

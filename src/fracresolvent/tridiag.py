@@ -47,10 +47,10 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:  # x may hold one vector per row
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        y[..., :-1] += self.off * x[..., 1:]
-        y[..., 1:] += self.off * x[..., :-1]
+        y[:-1] += self.off * x[1:]
+        y[1:] += self.off * x[:-1]
         return y
 
 

@@ -1,7 +1,9 @@
 """Evolution family checks against closed forms and independent oracles."""
 
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,27 +282,75 @@ def _per_node_inversion(op, cfg, times, x):
     return 2.0 * acc.real
 
 
-@pytest.mark.parametrize("kernel", (ABC_HALF, KernelParams(kind="w", alpha=0.5, beta=0.8)),
-                         ids=("abc", "w"))
-@pytest.mark.parametrize("op", (assemble_kimura(60), assemble_bessel(0.25, 20.0, 60)),
-                         ids=("kimura", "bessel"))
-def test_inverse_apply_is_the_sum_over_nodes(op, kernel):
-    """One matrix product per window equals the per-node sum, for a window of
-    four unforced times."""
+KIMURA_60, BESSEL_60 = assemble_kimura(60), assemble_bessel(0.25, 20.0, 60)
+W_HALF = KernelParams(kind="w", alpha=0.5, beta=0.8)
+
+
+@pytest.mark.parametrize("op, kernel, chunked", (
+    pytest.param(KIMURA_60, ABC_HALF, False, id="kimura-abc"),
+    pytest.param(KIMURA_60, W_HALF, False, id="kimura-w"),
+    pytest.param(BESSEL_60, ABC_HALF, False, id="bessel-abc"),
+    pytest.param(BESSEL_60, W_HALF, False, id="bessel-w"),
+    pytest.param(BESSEL_60, W_HALF, True, id="bessel-w-chunked"),
+))
+def test_inverse_apply_is_the_sum_over_nodes(monkeypatch, op, kernel, chunked):
+    """The matrix products of a window equal the per-node sum, for a window of
+    four unforced times: in one chunk, and with the chunk budget cut to the
+    8-row floor, so that the window's nodes split into at least 3 chunks."""
     u0 = np.random.default_rng(23).standard_normal(op.n)
     cfg = cfg_with(kernel=kernel, times=(0.1, 0.2, 0.5, 1.0), u0=u0)
     assert time_windows(cfg.contour, cfg.times, cfg.tol) == [slice(0, 4)]
+    if chunked:
+        monkeypatch.setattr(fracresolvent.evolution, "_CHUNK_BYTES", 0)
+        assert build_quadrature(cfg.contour, cfg.times, cfg.tol).nodes.size > 2 * 8
     got = _inverse_apply(op, cfg, cfg.times, u0)
     want = _per_node_inversion(op, cfg, cfg.times, u0)
     assert got.shape == want.shape == (4, op.n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_window_in_one_chunk_is_one_matrix_product():
+    """A window whose solves fit in one chunk returns the bytes of -2 Re(F @ Y),
+    with all of its node solves stacked as the rows of Y."""
+    op = assemble_kimura(1000)
+    u0 = np.sin(np.pi * np.arange(1, op.n + 1) / (op.n + 1))
+    cfg = cfg_with(times=np.logspace(-3.0, -2.0, 9), u0=u0)
+    quad = build_quadrature(cfg.contour, cfg.times, cfg.tol)
+    assert quad.nodes.size <= fracresolvent.evolution._CHUNK_BYTES // (16 * op.n)
+    factor = quad.weights * np.exp(quad.nodes * cfg.times[:, None]) * eval_kernel(cfg.kernel,
+                                                                                 quad.nodes)
+    ys = np.array([resolve(op, -redirect(s, cfg.kernel.alpha), u0) for s in quad.nodes])
+    want = -2.0 * np.real(factor @ ys)
+    assert _inverse_apply(op, cfg, cfg.times, u0).tobytes() == want.tobytes()
+
+
+def test_window_solves_are_not_stacked():
+    """A 9-time window on a 20,000-node mesh traces a peak below the M n 16 bytes
+    that stacking its M complex node solves would take."""
+    op = assemble_kimura(20_000)
+    u0 = np.sin(np.pi * np.arange(1, op.n + 1) / (op.n + 1))
+    cfg = cfg_with(times=np.logspace(-3.0, -2.0, 9), u0=u0)
+    stack = build_quadrature(cfg.contour, cfg.times, cfg.tol).nodes.size * op.n * 16
+    tracemalloc.start()
+    try:
+        _inverse_apply(op, cfg, cfg.times, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
+
+
+def _exact_energy(op, u) -> Fraction:
+    """u^T S u summed exactly in rationals from the float entries of S and u."""
+    d, e = (list(map(Fraction, band.tolist())) for band in (op.stiffness.diag,
+                                                           op.stiffness.off))
+    v = list(map(Fraction, u.tolist()))
+    return (sum(di * vi * vi for di, vi in zip(d, v))
+            + 2 * sum(ei * a * b for ei, a, b in zip(e, v[:-1], v[1:])))
+
+
 def _norm_of_one_state(op, gamma, u):
-    """||A^gamma u||_M for one state, as it was taken before the rows were
-    batched: vdot(u, S u) at gamma = 1/2, else through the eigenbasis."""
-    if gamma == 0.5:
-        return math.sqrt(np.vdot(u, op.stiffness.matvec(u)).real)
+    """||A^gamma u||_M for one state through the eigenbasis."""
     if gamma > 0.0:
         u = op.apply_spectral(_clamped_spectrum(op) ** gamma, u)
     return op.weighted_norm(u)
@@ -314,18 +364,23 @@ def kimura_4000():
 
 @pytest.mark.parametrize("gamma", (0.0, 0.5, 0.25))
 def test_mild_norms_equal_the_norm_of_each_state(kimura_4000, gamma):
-    """All rows' norms in one pass equal each state's own norm to 1e-14.
+    """All rows' norms in one pass equal each state's own norm to 1e-14, and
+    the norms by another route: to 1e-14 through the eigenbasis, and at
+    gamma = 1/2 the squared norm to 1e-12 of the exact rational u^T S u.
 
     At these early times u^T S u is about 2e7 times smaller than sum d u^2,
-    and the expanded form sum d u^2 + 2 sum e u u' misses it by up to 2.6e-9
-    relative; forming S u first keeps the cancellation local.
+    so a form that adds the bands' signed products loses digits to
+    cancellation: forming S u first missed the exact value by up to 3.8e-11.
     """
     op, u0 = kimura_4000
     cfg = cfg_with(times=np.logspace(-3.0, -1.0, 9), u0=u0, gamma=gamma)
     res = mild_solution(op, cfg)
     for u, got in zip(res.states, res.smoothed_norms):
         assert got == pytest.approx(smoothed_norm(op, gamma, u), rel=1e-14, abs=0.0)
-        assert got == pytest.approx(_norm_of_one_state(op, gamma, u), rel=1e-14, abs=0.0)
+        if gamma == 0.5:
+            assert Fraction(got) ** 2 == pytest.approx(_exact_energy(op, u), rel=1e-12, abs=0)
+        else:
+            assert got == pytest.approx(_norm_of_one_state(op, gamma, u), rel=1e-14, abs=0.0)
 
 
 def test_mild_constant_forcing_oracle():
