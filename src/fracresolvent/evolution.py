@@ -15,8 +15,9 @@ because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
 negative real axis whatever the angle condition's lower bound.
 
 The vector work is whole-array in bounded memory: a window's node solves are
-combined for all of its times by one matrix product per 512 KiB chunk of them, a
-forced time's lags share one kernel evaluation, and a run's norms take one pass.
+combined for all of its times by one matrix product per 512 KiB chunk of them; a
+forced time's lags share one kernel evaluation and one such pass over all of its
+(lag, node) solves; and a run's norms take one pass.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class EvolutionConfig:
             raise ConfigurationError("tol must lie in (0, 1), got %r" % self.tol)
         object.__setattr__(self, "times", check_times(self.times))
         if self.u0 is not None:
+            if np.iscomplexobj(self.u0):  # a float cast would keep only the real part
+                raise ConfigurationError("u0 must be real, got complex values")
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=np.float64))
         if self.forcing is not None and not callable(self.forcing):
             raise ConfigurationError("forcing must be callable or None")
@@ -174,13 +177,12 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.n
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
     s, factor = _node_factors(quad, cfg.kernel, times[:, None])
-    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, x)
+    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, [x] * s.size)
 
 
 def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
-    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b_j;
-    Y is solved and multiplied in chunks of max(8, _CHUNK_BYTES // (16 n)) rows."""
-    b = np.broadcast_to(b, (z.size, op.n))
+    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b[j]
+    for a right-hand side b[j] per node, in chunks of max(8, _CHUNK_BYTES // (16 n)) rows."""
     rows = max(8, _CHUNK_BYTES // (16 * op.n))
     ys = np.empty((min(rows, z.size), op.n), dtype=np.complex128)
     out = np.full((factor.shape[0], op.n), -0.0)  # -0.0 - x is -x bit for bit, zeros too
@@ -247,14 +249,16 @@ def mild_solution(
 
     with sigma_j the slope on piece j, sigma_{-1} = 0, and W_k the inverse
     transform of K(s) s^(-k) (s^(alpha-1) I + A)^(-1).  The three lag-0
-    terms share one inversion, of the right-hand side
-    u0 + f(0) / s + sigma_0 / s^2 at each node; every later lag is one
-    inversion of (sigma_j - sigma_{j-1}) / s^2.  Only f is approximated,
-    to second order in t / n_sub; the stiff modes' fast transients are
-    integrated through the transform, and every lag is at least t / n_sub.
-    Every lag r runs the one unit-time rule of the call scaled by 1 / r, so
-    e^(s r) is e^(unit node), and the kernel is evaluated once per output
-    time; unforced, each time_windows window shares one contour.
+    terms share one right-hand side per node, u0 + f(0) / s + sigma_0 / s^2.
+    A later lag solves its real jump row sigma_j - sigma_{j-1} itself and
+    carries the 1 / s^2 in its factor, since each solve is linear in its
+    right-hand side.  Only f is approximated, to second order in t / n_sub;
+    the stiff modes' fast transients are integrated through the transform,
+    and every lag is at least t / n_sub.  Every lag r runs the one unit-time
+    rule of the call scaled by 1 / r, so e^(s r) is e^(unit node), and per
+    output time the kernel is evaluated once and all n_sub M (lag, node)
+    solves are one _node_solves pass, in its bounded chunks; unforced, each
+    time_windows window shares one contour.
     """
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
@@ -276,24 +280,25 @@ def mild_solution(
             lags = (t - np.arange(n_sub) * h)[:, None]
             s = unit.nodes / lags  # row j: the nodes of lag t - j h
             factor = unit.weights / lags * np.exp(unit.nodes) * eval_kernel(cfg.kernel, s)
-            z, c = redirect(s, cfg.kernel.alpha), s[:, :, None]
-            u = _node_solves(op, z[0], factor[:1], u0 + f[0] / c[0] + jumps[0] / c[0]**2)[0]
-            for j in range(1, n_sub):
-                u = u + _node_solves(op, z[j], factor[j:j + 1], jumps[j] / c[j]**2)[0]
-            states[it] = u
+            factor[1:] /= s[1:] ** 2  # lag j > 0 solves its real jump row; 1/s^2 rides here
+            c = s[0, :, None]
+            b = [*(u0 + f[0] / c + jumps[0] / c**2)] + [row for row in jumps[1:] for _ in c]
+            z = redirect(s, cfg.kernel.alpha).ravel()  # lag by lag, as b and factor's row
+            states[it] = _node_solves(op, z, factor.reshape(1, -1), b)[0]
     return EvolutionResult(states=states, smoothed_norms=_smoothed_norms(op, cfg.gamma, states))
 
 
 def _forcing_at(forcing, tau: float, n: int) -> np.ndarray:
     """f(tau) as a finite float vector of length n; failures name tau."""
     try:
-        fval = np.asarray(forcing(tau), dtype=np.float64)
+        fval = np.asarray(forcing(tau))
+        if not np.iscomplexobj(fval):  # a complex f is refused below, not cast to its real part
+            fval = fval.astype(np.float64)
     except Exception as exc:
         raise EvaluationError("forcing evaluation failed at tau=%r: %s" % (tau, exc)) from exc
-    if fval.shape != (n,):
-        raise ConfigurationError(
-            "forcing at tau=%r returned shape %r, expected (%d,)" % (tau, fval.shape, n)
-        )
+    if np.iscomplexobj(fval) or fval.shape != (n,):
+        raise ConfigurationError("forcing at tau=%r returned %s values of shape %r, expected "
+                                 "real (%d,)" % (tau, fval.dtype, fval.shape, n))
     if not np.all(np.isfinite(fval)):
         i = int(np.argmin(np.isfinite(fval)))
         raise EvaluationError("forcing at tau=%r has non-finite value %r at index %d"

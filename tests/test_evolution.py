@@ -270,14 +270,14 @@ def test_mild_window_shares_one_contour():
         assert np.max(np.abs(res.states[i] - own) / np.abs(own)) <= cfg.tol
 
 
-def _per_node_inversion(op, cfg, times, x):
+def _per_node_inversion(op, cfg, times, rows):
     """The window's rows summed one node at a time, as the inversion did before
-    its solves were stacked: -2 Re sum_j F[:, j] y_j."""
+    its solves were stacked: -2 Re sum_j F[:, j] y_j, y_j solved for rows[j]."""
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
     acc = np.zeros((times.size, op.n), dtype=np.complex128)
-    for s, w in zip(quad.nodes, quad.weights):
-        y = resolve(op, -redirect(s, cfg.kernel.alpha), x)
+    for s, w, b in zip(quad.nodes, quad.weights, rows, strict=True):
+        y = resolve(op, -redirect(s, cfg.kernel.alpha), b)
         acc -= (w * np.exp(s * times) * eval_kernel(cfg.kernel, s))[:, None] * y
     return 2.0 * acc.real
 
@@ -286,25 +286,39 @@ KIMURA_60, BESSEL_60 = assemble_kimura(60), assemble_bessel(0.25, 20.0, 60)
 W_HALF = KernelParams(kind="w", alpha=0.5, beta=0.8)
 
 
-@pytest.mark.parametrize("op, kernel, chunked", (
-    pytest.param(KIMURA_60, ABC_HALF, False, id="kimura-abc"),
-    pytest.param(KIMURA_60, W_HALF, False, id="kimura-w"),
-    pytest.param(BESSEL_60, ABC_HALF, False, id="bessel-abc"),
-    pytest.param(BESSEL_60, W_HALF, False, id="bessel-w"),
-    pytest.param(BESSEL_60, W_HALF, True, id="bessel-w-chunked"),
+@pytest.mark.parametrize("op, kernel, chunked, distinct", (
+    pytest.param(KIMURA_60, ABC_HALF, False, False, id="kimura-abc"),
+    pytest.param(KIMURA_60, W_HALF, False, False, id="kimura-w"),
+    pytest.param(BESSEL_60, ABC_HALF, False, False, id="bessel-abc"),
+    pytest.param(BESSEL_60, W_HALF, False, False, id="bessel-w"),
+    pytest.param(BESSEL_60, W_HALF, True, False, id="bessel-w-chunked"),
+    pytest.param(BESSEL_60, W_HALF, False, True, id="bessel-w-rows"),
+    pytest.param(BESSEL_60, W_HALF, True, True, id="bessel-w-rows-chunked"),
 ))
-def test_inverse_apply_is_the_sum_over_nodes(monkeypatch, op, kernel, chunked):
+def test_inverse_apply_is_the_sum_over_nodes(monkeypatch, op, kernel, chunked, distinct):
     """The matrix products of a window equal the per-node sum, for a window of
     four unforced times: in one chunk, and with the chunk budget cut to the
-    8-row floor, so that the window's nodes split into at least 3 chunks."""
-    u0 = np.random.default_rng(23).standard_normal(op.n)
+    8-row floor, so that the window's nodes split into at least 3 chunks.  The
+    distinct cases give _node_solves a right-hand side of each node's own, complex
+    rows and real ones mixed, as a forced time's lag 0 and later lags do."""
+    rng = np.random.default_rng(23)
+    u0 = rng.standard_normal(op.n)
     cfg = cfg_with(kernel=kernel, times=(0.1, 0.2, 0.5, 1.0), u0=u0)
     assert time_windows(cfg.contour, cfg.times, cfg.tol) == [slice(0, 4)]
+    quad = build_quadrature(cfg.contour, cfg.times, cfg.tol)
     if chunked:
         monkeypatch.setattr(fracresolvent.evolution, "_CHUNK_BYTES", 0)
-        assert build_quadrature(cfg.contour, cfg.times, cfg.tol).nodes.size > 2 * 8
-    got = _inverse_apply(op, cfg, cfg.times, u0)
-    want = _per_node_inversion(op, cfg, cfg.times, u0)
+        assert quad.nodes.size > 2 * 8
+    if distinct:
+        m, s = quad.nodes.size, quad.nodes
+        rows = [*rng.standard_normal((m, op.n))]
+        rows[::2] = [b + 1j * rng.standard_normal(op.n) for b in rows[::2]]
+        factor = quad.weights * np.exp(s * cfg.times[:, None]) * eval_kernel(kernel, s)
+        got = fracresolvent.evolution._node_solves(op, redirect(s, kernel.alpha), factor, rows)
+    else:
+        rows = [u0] * quad.nodes.size
+        got = _inverse_apply(op, cfg, cfg.times, u0)
+    want = _per_node_inversion(op, cfg, cfg.times, rows)
     assert got.shape == want.shape == (4, op.n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -450,10 +464,10 @@ def test_mild_product_rule_order():
     (np.logspace(-3.0, 1.0, 33), None, 114, 114),
 ), ids=("forced", "free", "sweep"))
 def test_mild_solve_counts(monkeypatch, times, forcing, solves, eliminations):
-    """Forced: 15 solves per inversion at tol = 1e-8, and per output time one
-    inversion for V(t) u0 and the lag-0 forcing terms together, and one per
-    later lag.  A forcing constant in tau has zero slope jumps after lag 0, so
-    only lag 0's 15 solves per output time reach zgtsv.  Unforced: one
+    """Forced: 15 nodes per lag at tol = 1e-8, and per output time one pass of
+    n_sub 15 solves, lag 0's for V(t) u0 and the lag-0 forcing terms together, each
+    later lag's for its real slope-jump row.  A forcing constant in tau has zero
+    slope jumps after lag 0, so only lag 0's 15 solves per output time reach zgtsv.  Unforced: one
     inversion per window, whose contour serves [t0, 10 t0]: 30 nodes for
     (0.1, 1); 30, 30, 30 and 24 for the windows of 9, 9, 9 and 6 times of
     the 33-time sweep, where one inversion per time made 495."""
@@ -533,6 +547,47 @@ def test_forced_run_builds_one_rule(monkeypatch):
     mild_solution(assemble_kimura(20), cfg, n_sub=8)
     assert built == [1.0]
     assert shapes == [(8, 15)] * 3
+
+
+def test_forced_time_is_one_solve_pass(monkeypatch):
+    """A forced call makes one _node_solves call per output time, over all of its
+    (lag, node) pairs.  Lag 0's rows u0 + f(0)/s + sigma_0/s^2 are complex; every
+    later lag solves its real slope-jump row and carries 1/s^2 in its factor."""
+    node_solves, resolve_ = fracresolvent.evolution._node_solves, fracresolvent.evolution.resolve
+    sizes, real = [], []
+
+    def counted_node_solves(op, z, factor, b):
+        sizes.append(z.size)
+        return node_solves(op, z, factor, b)
+
+    def recorded_resolve(op, z, b):
+        real.append(not np.iscomplexobj(b))
+        return resolve_(op, z, b)
+
+    monkeypatch.setattr(fracresolvent.evolution, "_node_solves", counted_node_solves)
+    monkeypatch.setattr(fracresolvent.evolution, "resolve", recorded_resolve)
+    x = np.linspace(0.0, 1.0, 20)
+    cfg = cfg_with(times=(0.1, 1.0), u0=np.sin(np.pi * x),
+                   forcing=lambda tau: np.sin(5.0 * tau) + 0.5 + x)
+    mild_solution(assemble_kimura(20), cfg, n_sub=8)
+    m = build_quadrature(cfg.contour, 1.0, cfg.tol).nodes.size
+    assert sizes == [8 * m] * 2
+    assert real == ([False] * m + [True] * 7 * m) * 2
+
+
+def test_complex_u0_is_refused():
+    """A complex u0 is refused, not cast to its real part."""
+    with pytest.raises(ConfigurationError, match="u0 must be real"):
+        cfg_with(u0=(1.0 + 1.0j) * np.ones(3))
+
+
+def test_complex_forcing_is_refused_at_its_tau():
+    """A forcing that turns complex at tau = 0.5 is refused there, not cast to its real part."""
+    op = make_diagonal([1.0, 2.0])
+    forcing = lambda tau: np.ones(2) * (1.0j if tau >= 0.5 else 1.0)
+    cfg = cfg_with(times=(1.0,), u0=np.zeros(2), forcing=forcing)
+    with pytest.raises(ConfigurationError, match=r"tau=0\.5 returned complex128 .* expected real"):
+        mild_solution(op, cfg, n_sub=4)
 
 
 def test_mild_forcing_failures_are_located():
