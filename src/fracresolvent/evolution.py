@@ -15,9 +15,9 @@ because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
 negative real axis whatever the angle condition's lower bound.
 
 The vector work is whole-array in bounded memory: a window's node solves are
-combined for all of its times by one matrix product per 512 KiB chunk of them; a
-forced time's lags share one kernel evaluation and one such pass over all of its
-(lag, node) solves; and a run's norms take one pass.
+combined for all of its times by one matrix product per 512 KiB chunk of them, and
+normed before the next window is solved; a forced time's lags share one kernel
+evaluation and one such pass over all of its (lag, node) solves.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ def _check_gamma(gamma: float) -> None:
         raise ConfigurationError("gamma must lie in [0, 1), got %r" % gamma)
 
 
+def _real(x, name: str) -> np.ndarray:
+    if np.iscomplexobj(x):  # a float cast would keep only the real part
+        raise ConfigurationError("%s must be real, got complex values" % name)
+    return np.asarray(x, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Everything a run needs besides the operator; made only with a usable kernel/angle pair."""
@@ -78,10 +84,7 @@ class EvolutionConfig:
         if not 0.0 < self.tol < 1.0:
             raise ConfigurationError("tol must lie in (0, 1), got %r" % self.tol)
         object.__setattr__(self, "times", check_times(self.times))
-        if self.u0 is not None:
-            if np.iscomplexobj(self.u0):  # a float cast would keep only the real part
-                raise ConfigurationError("u0 must be real, got complex values")
-            object.__setattr__(self, "u0", np.asarray(self.u0, dtype=np.float64))
+        object.__setattr__(self, "u0", None if self.u0 is None else _real(self.u0, "u0"))
         if self.forcing is not None and not callable(self.forcing):
             raise ConfigurationError("forcing must be callable or None")
         check_pairing(self)
@@ -167,8 +170,7 @@ def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
 
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """V(t) x by one banded solve per contour node."""
-    x = op.check_vector(np.asarray(x, dtype=np.float64))
-    return _inverse_apply(op, cfg, [t], x)[0]
+    return _inverse_apply(op, cfg, [t], op.check_vector(_real(x, "x")))[0]
 
 
 def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.ndarray:
@@ -217,21 +219,33 @@ def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
     below EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
     """
     _check_gamma(gamma)
-    return float(_smoothed_norms(op, gamma, op.check_vector(np.asarray(u))[None, :])[0])
+    return float(_smoothed_norms(op, gamma)(op.check_vector(np.asarray(u))[None, :])[0])
 
 
-def _smoothed_norms(op: DiscreteOperator, gamma: float, states: np.ndarray) -> np.ndarray:
-    """smoothed_norm of every row of states in one pass.  At gamma == 1/2, u^T S u is
+def _smoothed_norms(op: DiscreteOperator, gamma: float):
+    """smoothed_norm of each row, as a function set up once.  At gamma == 1/2, u^T S u is
     sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off and r = S 1: on an assembled S each
     w >= 0 and r is 0 up to rounding but at a Dirichlet end, so nothing cancels."""
-    if gamma == 0.5:
-        _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
-        d, s = np.diff(states, axis=-1), op.stiffness
-        form = (np.einsum("ij,j,ij->i", d.conj(), -s.off, d)
-                + np.einsum("ij,j,ij->i", states.conj(), s.matvec(np.ones(s.n)), states)).real
+    if gamma != 0.5:
+        return lambda states: op.weighted_norm(_fractional_power(op, gamma, states))
+    _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
+    w, r = -op.stiffness.off, op.stiffness.matvec(np.ones(op.n))
+    def norms(states):
+        d = np.diff(states, axis=-1)
+        form = (np.einsum("ij,j,ij->i", d.conj(), w, d)
+                + np.einsum("ij,j,ij->i", states.conj(), r, states)).real
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return np.sqrt(np.maximum(form, 0.0))
-    return op.weighted_norm(_fractional_power(op, gamma, states))
+    return norms
+
+
+def unforced_windows(op: DiscreteOperator, cfg: EvolutionConfig):
+    """Each time_windows window of cfg.times, its V(t) u0 rows, unforced, and their norms."""
+    norms = _smoothed_norms(op, cfg.gamma)
+    for window in time_windows(cfg.contour, cfg.times, cfg.tol):
+        rows = _inverse_apply(op, cfg, cfg.times[window], cfg.u0)
+        yield window, rows, norms(rows)
+        del rows  # one window's rows are held at a time
 
 
 def mild_solution(
@@ -257,8 +271,8 @@ def mild_solution(
     and every lag is at least t / n_sub.  Every lag r runs the one unit-time
     rule of the call scaled by 1 / r, so e^(s r) is e^(unit node), and per
     output time the kernel is evaluated once and all n_sub M (lag, node)
-    solves are one _node_solves pass, in its bounded chunks; unforced, each
-    time_windows window shares one contour.
+    solves are one _node_solves pass, in its bounded chunks.  Unforced, it
+    stores the rows and norms that unforced_windows gives window by window.
     """
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
@@ -266,10 +280,10 @@ def mild_solution(
     if int(n_sub) != n_sub or n_sub < 2:
         raise ConfigurationError("n_sub must be an integer >= 2, got %r" % n_sub)
     n_sub = int(n_sub)
-    states = np.zeros((len(cfg.times), op.n))
+    states, norms = np.zeros((len(cfg.times), op.n)), np.empty(len(cfg.times))
     if cfg.forcing is None:
-        for window in time_windows(cfg.contour, cfg.times, cfg.tol):
-            states[window] = _inverse_apply(op, cfg, cfg.times[window], u0)
+        for window, states[window], norms[window] in unforced_windows(op, cfg):
+            pass  # each window's rows and norms are stored in their slices
     else:
         unit = build_quadrature(cfg.contour, 1.0, cfg.tol)
         for it, t in enumerate(cfg.times.tolist()):
@@ -285,7 +299,8 @@ def mild_solution(
             b = [*(u0 + f[0] / c + jumps[0] / c**2)] + [row for row in jumps[1:] for _ in c]
             z = redirect(s, cfg.kernel.alpha).ravel()  # lag by lag, as b and factor's row
             states[it] = _node_solves(op, z, factor.reshape(1, -1), b)[0]
-    return EvolutionResult(states=states, smoothed_norms=_smoothed_norms(op, cfg.gamma, states))
+        norms[:] = _smoothed_norms(op, cfg.gamma)(states)
+    return EvolutionResult(states=states, smoothed_norms=norms)
 
 
 def _forcing_at(forcing, tau: float, n: int) -> np.ndarray:
@@ -327,11 +342,10 @@ def laplace_check(
     """
     if lam <= 0.0:
         raise ConfigurationError("transform frequency must be positive, got %r" % lam)
-    if x is None:
-        x = cfg.u0
+    x = cfg.u0 if x is None else x
     if x is None:
         raise ConfigurationError("laplace_check needs a vector: pass x or set u0")
-    x = op.check_vector(np.asarray(x, dtype=np.float64))
+    x = op.check_vector(_real(x, "x"))
     t_max = LAPLACE_TAIL_FACTOR / lam
     coarse = _transform_integral(op, cfg, lam, x, t_max, LAPLACE_POINTS_PER_DECADE)
     fine = _transform_integral(op, cfg, lam, x, t_max, 2 * LAPLACE_POINTS_PER_DECADE)

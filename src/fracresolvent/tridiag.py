@@ -124,11 +124,11 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
 
 
 def eigenvalues_below(m: TridiagonalMatrix, bound: float) -> np.ndarray:
-    """Eigenvalues below bound, ascending: one Sturm count (O(n)) when there are none."""
+    """Eigenvalues below bound, ascending, no vectors: all of them by LAPACK's default routine at
+    bound = inf, else by bisection, which is one Sturm count (O(n)) when there are none."""
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
             np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float),
-            select="v", select_range=(-np.inf, bound),
-        )
+            **({} if bound == np.inf else {"select": "v", "select_range": (-np.inf, bound)}))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc

@@ -145,6 +145,12 @@ def test_gamma_zero_is_plain_family():
     assert np.array_equal(smoothed_apply(op, cfg, 1.0, x), resolvent_apply(op, cfg, 1.0, x))
 
 
+def test_resolvent_apply_refuses_complex_x():
+    """A complex x is refused, not cut to its real part."""
+    with pytest.raises(ConfigurationError, match="x must be real"):
+        resolvent_apply(make_diagonal([1.0, 2.0]), cfg_with(), 1.0, np.array([1 + 1j, 1 + 1j]))
+
+
 def test_smoothing_scalar_scaling():
     # single eigenvalue 4: A^{1/2} multiplies the mode by exactly 2
     op = make_diagonal([4.0])
@@ -694,6 +700,12 @@ def test_laplace_check_validation():
         laplace_check(op, cfg_with(), 0.0, x=np.ones(1))
     with pytest.raises(ConfigurationError):
         laplace_check(op, cfg_with(), 1.0)  # no vector anywhere
+
+
+def test_laplace_check_refuses_complex_x():
+    """A complex x is refused, not cut to its real part: rhs was [0, 0] for x = [1j, 1j]."""
+    with pytest.raises(ConfigurationError, match="x must be real"):
+        laplace_check(make_diagonal([1.0, 2.0]), cfg_with(), 1.0, x=np.array([1j, 1j]))
 
 
 def test_strong_continuity_ratio_ladder():

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,12 @@ import pytest
 import fracresolvent.operators
 from fracresolvent.contour import DEFAULT_THETA, build_quadrature, min_theta, time_windows
 from fracresolvent.errors import ConfigurationError
-from fracresolvent.evolution import _clamped_spectrum, check_pairing, scalar_mode_values
+from fracresolvent.evolution import (
+    _clamped_spectrum,
+    check_pairing,
+    mild_solution,
+    scalar_mode_values,
+)
 from fracresolvent.experiments import (
     _KEY_TABLE,
     ANCHOR_SAFETY,
@@ -32,6 +38,7 @@ from fracresolvent.experiments import (
 )
 from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
 from fracresolvent.svg import render_decay_svg
+from fracresolvent.tridiag import eigenvalues_below
 
 SWEEP_TEXT = """
 # homogeneous decay, small mesh for test speed
@@ -308,6 +315,52 @@ def test_other_power_sweep_matches_spectral_route():
     norms = smoothing_sweep(cfg).norms
     reference = _spectral_norms(cfg)
     assert np.max(np.abs(norms - reference) / reference) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.5, 0.25))
+def test_sweep_norms_are_the_mild_solution_norms(gamma):
+    """The sweep takes its norms window by window from unforced_windows.  They equal
+    the norms of the unforced mild_solution bit for bit at gamma 0 and 1/2, and within
+    1e-15 at 1/4, where BLAS may block a window's eigenbasis products differently."""
+    cfg = parse_config(SWEEP_TEXT.replace("operator.n = 48", "operator.n = 300")
+                       .replace("run.t_count = 9", "run.t_count = 33")
+                       .replace("run.gamma = 0.5", "run.gamma = %r" % gamma))
+    op = build_operator(cfg)
+    evo = build_evolution_config(cfg, build_initial_state(cfg, op))
+    assert len(time_windows(evo.contour, evo.times, evo.tol)) == 4
+    norms, want = smoothing_sweep(cfg).norms, mild_solution(op, evo).smoothed_norms
+    if gamma == 0.25:
+        assert np.max(np.abs(norms - want) / want) <= 1e-15
+    else:
+        assert norms.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.5))
+def test_sweep_holds_one_window_of_states(gamma):
+    """A 33-time sweep on a 20,000-node mesh traces a peak below 10 MB: it holds one
+    window's states at a time.  Keeping the run's (33, n) states (5.3 MB) and taking
+    the norms of all of them at once peaks at 16.5 MB (gamma = 0) and 12.8 MB (1/2)."""
+    cfg = ExperimentConfig(n=20_000, gamma=gamma)
+    assert cfg.t_count == 33
+    tracemalloc.start()
+    try:
+        smoothing_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_half_power_sweep_counts_sturm_once(monkeypatch):
+    """A gamma = 1/2 sweep of several windows checks the pencil for PSD once per run."""
+    calls = []
+    counting = lambda m, bound: calls.append(bound) or eigenvalues_below(m, bound)
+    monkeypatch.setattr(fracresolvent.operators, "eigenvalues_below", counting)
+    cfg = parse_config(SWEEP_TEXT)
+    evo = build_evolution_config(cfg, np.ones(cfg.n))
+    assert cfg.gamma == 0.5 and len(time_windows(evo.contour, evo.times, evo.tol)) > 1
+    smoothing_sweep(cfg)
+    assert len(calls) == 1
 
 
 def test_local_exponent_recovers_power_law():

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import fracresolvent.operators
 from fracresolvent.errors import ConfigurationError, SingularMatrixError
 from fracresolvent.operators import (
     DiscreteOperator,
@@ -227,6 +228,23 @@ def test_sectoriality_obtuse_bound():
         assert report.passed
         assert report.m_theta_hat <= report.bound + 1e-9
         assert report.bound == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("op, m_hat", (
+    pytest.param(assemble_kimura(1000), 0.999999978054106, id="kimura"),
+    pytest.param(assemble_bessel(0.25, 20.0, 1000), 0.999999986329280, id="bessel"),
+))
+def test_sectoriality_reads_eigenvalues_only(monkeypatch, op, m_hat):
+    """The check needs the spectrum, not the n^2 eigenvector entries (80 GB at
+    n = 10^5): it runs with eigh_tridiagonal refused, and its estimate at 3 pi / 4
+    is the one the full eigendecomposition gives, to 15 digits."""
+    def refuse(m):
+        raise AssertionError("sectoriality_check decomposed the operator")
+
+    monkeypatch.setattr(fracresolvent.operators, "eigh_tridiagonal", refuse)
+    report = sectoriality_check(op, 3.0 * math.pi / 4.0)
+    assert report.passed
+    assert report.m_theta_hat == pytest.approx(m_hat, rel=1e-14, abs=0.0)
 
 
 def test_sectoriality_narrower_angle():

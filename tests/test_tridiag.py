@@ -217,11 +217,13 @@ def test_half_power_norm_rejects_negative_spectrum():
 
 
 def test_eigenvalues_below_count_matches_full_solver():
-    """The Sturm count below each midpoint of the spectrum, and the values it bisects."""
+    """The Sturm count below each midpoint of the spectrum, and the values it bisects;
+    below inf, the whole spectrum by the default routine."""
     rng = np.random.default_rng(19)
     op = _psd_op(rng, 40)
     lam = op.eigensystem().eigenvalues
     assert op.eigenvalues_below(0.5 * lam[0]).size == 0
+    assert np.allclose(op.eigenvalues_below(np.inf), lam, rtol=1e-12, atol=0.0)
     for k, bound in enumerate(0.5 * (lam[:-1] + lam[1:]), start=1):
         below = op.eigenvalues_below(bound)
         assert below.size == k
