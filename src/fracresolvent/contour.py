@@ -8,9 +8,9 @@ contour that is built.  It crosses the positive axis at mu (1 - sin phi) / t0
 and runs upwards, so F(s) = 1/s inverts to +1.  The midpoint rule
 u_k = (k + 1/2) h takes the smallest node count whose a-priori error bound
 meets the tolerance, with mu and h in closed form from that bound; nothing
-is fitted or searched.  The contour depends on t only through the scale
-t0, so a rule bounded over a window [t0, t1] serves every time in it
-(Weideman & Trefethen, sec. 4).
+is fitted or searched.  The contour depends on t only through the scale t0, so a
+rule bounded over a window [t0, t1] serves every time in it, on a node count that grows
+only like log(t1 / t0) (Weideman & Trefethen, sec. 4): windows run to the node budget.
 
 Conjugate symmetry is exploited throughout: only upper-half nodes are
 stored and results are assembled as 2 Re(sum w_j e^(s_j t) f(s_j)).
@@ -37,8 +37,6 @@ STRIP_FRACTION = 0.8
 # share of the strip exponent 2 pi d / h that the growth of e^(s t) on the
 # strip may use up (the theta of Weideman & Trefethen); the rest is the rate
 GROWTH_SHARE = 0.35
-# a time window spans at most this ratio of its last time to its first
-WINDOW_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -172,21 +170,22 @@ def check_times(t) -> np.ndarray:
 
 
 def time_windows(spec: ContourSpec, times: np.ndarray, tol: float) -> list[slice]:
-    """Greedy windows of consecutive times, each spanning at most WINDOW_RATIO,
-    shrunk until its rule fits spec.n_nodes and its roundoff floor lies below
-    tol; a lone time is left for build_quadrature to run or refuse."""
+    """Windows of consecutive times, built backwards from the last: each takes earlier times
+    while its rule fits spec.n_nodes and its roundoff floor lies below tol.  A rule errs most
+    at its first time, so the widest window starts early, where decaying outputs are largest.
+    A time that fits with no neighbour is a lone window, for build_quadrature to run or refuse."""
     times = check_times(times)
     phi, psi = spec.theta - math.pi / 2.0, math.pi - spec.theta
-    windows, i = [], 0
-    while i < len(times):
-        j = int(np.searchsorted(times, WINDOW_RATIO * times[i], side="right"))
-        while j > i + 1:
-            m, _, _, roundoff = _hyperbola_rule(phi, psi, tol, times[j - 1] / times[i])
-            if 2 * m <= spec.n_nodes and 3.0 * roundoff <= tol:
+    windows, j = [], len(times)
+    while j > 0:
+        i = j - 1
+        while i > 0:
+            m, _, _, roundoff = _hyperbola_rule(phi, psi, tol, times[j - 1] / times[i - 1])
+            if 2 * m > spec.n_nodes or 3.0 * roundoff > tol:
                 break
-            j -= 1
-        windows.append(slice(i, j))
-        i = j
+            i -= 1
+        windows.insert(0, slice(i, j))
+        j = i
     return windows
 
 

@@ -15,9 +15,9 @@ because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
 negative real axis whatever the angle condition's lower bound.
 
 The vector work is whole-array in bounded memory: a window's node solves are
-combined for all of its times by one matrix product per 512 KiB chunk of them, and
-normed before the next window is solved; a forced time's lags share one kernel
-evaluation and one such pass over all of its (lag, node) solves.
+added into the rows of all of its times in place, by two real matrix products per
+512 KiB chunk of them, and normed before the next window is solved; a forced time's
+lags share one kernel evaluation and one such pass over all of its (lag, node) solves.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from fracresolvent.contour import (
     DEFAULT_THETA_A,
@@ -184,17 +185,17 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.n
 
 def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
     """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b[j]
-    for a right-hand side b[j] per node, in chunks of max(8, _CHUNK_BYTES // (16 n)) rows."""
+    for a right-hand side b[j] per node, in chunks of max(8, _CHUNK_BYTES // (16 n)) rows, each
+    added as -2 Re F Re Y + 2 Im F Im Y into the (T, n) rows in place (dgemm, beta = 1)."""
     rows = max(8, _CHUNK_BYTES // (16 * op.n))
     ys = np.empty((min(rows, z.size), op.n), dtype=np.complex128)
-    out = np.full((factor.shape[0], op.n), -0.0)  # -0.0 - x is -x bit for bit, zeros too
+    out = np.zeros((factor.shape[0], op.n))
     for lo in range(0, z.size, rows):
         for j, (zj, bj) in enumerate(zip(z[lo:lo + rows], b[lo:lo + rows])):
             # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
             ys[j] = resolve(op, -zj, bj)
-        part = np.real(factor[:, lo:lo + rows] @ ys[:j + 1])
-        out -= np.multiply(part, 2.0, out=part)  # in place: no third (T, n) array
-        del part  # nor is the chunk's product held through the next chunk's solves
+        for y, f, scale in ((ys.real, factor.real, -2.0), (ys.imag, factor.imag, 2.0)):
+            dgemm(scale, y[:j + 1].T, f[:, lo:lo + j + 1].T, 1.0, out.T, overwrite_c=True)
     return out
 
 
@@ -211,7 +212,7 @@ def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> n
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
-    """M-weighted norm of A^gamma u; gamma must lie in [0, 1).
+    """M-weighted norm of A^gamma u for a real u; gamma must lie in [0, 1).
 
     gamma == 1/2 sums ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u from the stiffness
     bands in terms that do not cancel (see _smoothed_norms) and forms no eigenvectors;
@@ -219,7 +220,7 @@ def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
     below EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
     """
     _check_gamma(gamma)
-    return float(_smoothed_norms(op, gamma)(op.check_vector(np.asarray(u))[None, :])[0])
+    return float(_smoothed_norms(op, gamma)(op.check_vector(_real(u, "u"))[None, :])[0])
 
 
 def _smoothed_norms(op: DiscreteOperator, gamma: float):
@@ -232,8 +233,7 @@ def _smoothed_norms(op: DiscreteOperator, gamma: float):
     w, r = -op.stiffness.off, op.stiffness.matvec(np.ones(op.n))
     def norms(states):
         d = np.diff(states, axis=-1)
-        form = (np.einsum("ij,j,ij->i", d.conj(), w, d)
-                + np.einsum("ij,j,ij->i", states.conj(), r, states)).real
+        form = np.einsum("ij,j,ij->i", d, w, d) + np.einsum("ij,j,ij->i", states, r, states)
         # S is PSD, so a negative form is roundoff: clamped like the spectrum
         return np.sqrt(np.maximum(form, 0.0))
     return norms
@@ -241,6 +241,8 @@ def _smoothed_norms(op: DiscreteOperator, gamma: float):
 
 def unforced_windows(op: DiscreteOperator, cfg: EvolutionConfig):
     """Each time_windows window of cfg.times, its V(t) u0 rows, unforced, and their norms."""
+    if cfg.u0 is None:
+        raise ConfigurationError("unforced_windows requires u0 in the configuration")
     norms = _smoothed_norms(op, cfg.gamma)
     for window in time_windows(cfg.contour, cfg.times, cfg.tol):
         rows = _inverse_apply(op, cfg, cfg.times[window], cfg.u0)

@@ -87,8 +87,10 @@ class DiscreteOperator:
 
     def weighted_norm(self, x):
         """M-weighted norm, the discrete analogue of the weighted L2 norm, over x's last
-        axis: a float for a vector, an array of row norms for a 2-d x."""
-        return np.sqrt(np.sum(self.lumped_mass * np.abs(np.asarray(x)) ** 2, axis=-1))
+        axis, in one pass: a float for a vector, an array of row norms for a 2-d x."""
+        x = np.asarray(x)
+        return np.sqrt(np.einsum("...i,i,...i->...", x.conj() if np.iscomplexobj(x) else x,
+                                 self.lumped_mass, x).real)
 
     def apply_spectral(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply g(A) given g's values on the spectrum of A~.
@@ -211,14 +213,11 @@ def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
     """
     z = complex(z)
     b = op.check_vector(np.asarray(b))
-    axis_dist = abs(z.imag) if z.real >= 0.0 else abs(z)
-    if axis_dist <= _AXIS_GUARD:
-        lam = op.eigensystem().eigenvalues
-        gap = float(np.min(np.abs(z - lam)))
-        if gap <= _AXIS_GUARD:
-            raise SingularMatrixError(
-                "spectral point z=%r lies within %g of an eigenvalue" % (z, _AXIS_GUARD)
-            )
+    near_axis = (abs(z.imag) if z.real >= 0.0 else abs(z)) <= _AXIS_GUARD
+    # eigenvalues only: the eigenvectors are n^2 floats at large n
+    if near_axis and np.min(np.abs(z - op.eigenvalues_below(math.inf))) <= _AXIS_GUARD:
+        raise SingularMatrixError("spectral point z=%r lies within %g of an eigenvalue"
+                                  % (z, _AXIS_GUARD))
     m, s = op.lumped_mass, op.stiffness
     return solve_tridiagonal(TridiagonalMatrix(z * m - s.diag, -s.off), m * b)
 

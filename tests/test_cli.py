@@ -102,9 +102,8 @@ def test_underresolved_contour_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_windows_shrink_to_the_node_budget(tmp_path, capsys, monkeypatch):
-    # a window of [t0, 10 t0] needs 60 nodes at tol = 1e-8, and the 33-time
-    # sweep's neighbours 1.33 apart still need more than 32, so every window
-    # shrinks to its lone time and runs that time's 30-node rule
+    # at tol = 1e-8 the 33-time sweep's neighbours, 1.33 apart, need more than
+    # 32 nodes, so no window grows past its lone time, which runs its 30-node rule
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "budget.cfg"
     cfg.write_text(SMALL_SWEEP.replace("run.t_count = 5", "run.t_count = 33")

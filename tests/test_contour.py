@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from fracresolvent.contour import (
     DEFAULT_THETA,
-    WINDOW_RATIO,
     ContourSpec,
     angle_condition,
     build_quadrature,
@@ -102,23 +103,44 @@ def test_bad_windows_are_refused(bad):
         time_windows(POWER_SPEC, np.array(bad), 1e-8)
 
 
-def test_time_windows_cover_the_times_within_the_ratio_and_budget():
+def _check_windows(spec, times, tol):
+    """The windows of times cover them in order; every window of several times has a
+    rule within spec.n_nodes and its roundoff floor, and none can take one more
+    earlier time, whose rule build_quadrature would refuse."""
+    windows = time_windows(spec, times, tol)
+    assert windows[0].start == 0 and windows[-1].stop == times.size
+    for w, nxt in zip(windows, windows[1:]):
+        assert w.start < w.stop == nxt.start
+    for w in windows:
+        if w.stop - w.start > 1:
+            assert build_quadrature(spec, times[w], tol).all_nodes().size <= spec.n_nodes // 2
+        if w.start > 0:
+            with pytest.raises(RefinementNeededError):
+                build_quadrature(spec, times[w.start - 1:w.stop], tol)
+    return windows
+
+
+def test_time_windows_grow_back_from_the_last_time_to_the_budget():
+    """The 33-time sweep grid is two windows, [1e-3, 1e-2) on 28 nodes and the
+    wide [1e-2, 10] on 64, where windows of at most a decade took 30, 30, 30 and 24."""
     times = np.logspace(-3.0, 1.0, 33)
-    windows = time_windows(POWER_SPEC, times, 1e-8)
-    assert [(w.start, w.stop) for w in windows] == [(0, 9), (9, 18), (18, 27), (27, 33)]
+    windows = _check_windows(POWER_SPEC, times, 1e-8)
+    assert [(w.start, w.stop) for w in windows] == [(0, 8), (8, 33)]
+    assert [build_quadrature(POWER_SPEC, times[w], 1e-8).all_nodes().size
+            for w in windows] == [28, 64]
     for budget, tol in ((32, 1e-8), (60, 1e-8), (64, 1e-12), (44, 1e-12)):
-        spec = ContourSpec(n_nodes=budget)
-        windows = time_windows(spec, times, tol)
-        assert windows[0].start == 0 and windows[-1].stop == times.size
-        for w, nxt in zip(windows, windows[1:]):
-            assert w.stop == nxt.start
-        for w in windows:
-            assert times[w.stop - 1] <= WINDOW_RATIO * times[w.start]
-            assert build_quadrature(spec, times[w], tol).all_nodes().size <= budget
+        _check_windows(ContourSpec(n_nodes=budget), times, tol)
     # the lone-time rule needs 30 nodes at 1e-8 and any two times more than 32
     assert len(time_windows(ContourSpec(n_nodes=32), times, 1e-8)) == 33
     # a lone time over the budget is left for build_quadrature to refuse
     assert time_windows(ContourSpec(n_nodes=16), times[:2], 1e-8) == [slice(0, 1), slice(1, 2)]
+
+
+@given(log_t0=st.floats(-6.0, 3.0), decades=st.floats(0.0, 12.0), count=st.integers(1, 80),
+       budget=st.integers(8, 256), log_tol=st.floats(-13.0, -3.0))
+def test_time_windows_property(log_t0, decades, count, budget, log_tol):
+    times = np.unique(np.logspace(log_t0, log_t0 + decades, count))
+    _check_windows(ContourSpec(n_nodes=budget), times, 10.0**log_tol)
 
 
 def test_nodes_scale_inversely_with_time():

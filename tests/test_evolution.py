@@ -202,6 +202,13 @@ def test_smoothed_norm_refuses_wrong_shape_at_gamma_zero():
         smoothed_norm(make_diagonal([1.0, 2.0]), 0.0, np.array([2.0]))
 
 
+@pytest.mark.parametrize("gamma", (0.0, 0.5))
+def test_smoothed_norm_refuses_a_complex_state(gamma):
+    """The gamma = 1/2 form sums u^T S u without conjugating, so a complex u is refused."""
+    with pytest.raises(ConfigurationError, match="u must be real"):
+        smoothed_norm(make_diagonal([1.0, 2.0]), gamma, np.array([1.0, 1j]))
+
+
 @pytest.mark.parametrize("gamma", (-0.5, 1.0))
 def test_smoothed_norm_refuses_gamma_out_of_range(gamma):
     """smoothed_norm holds gamma to the [0, 1) that EvolutionConfig enforces."""
@@ -246,6 +253,13 @@ def test_configs_are_frozen():
         cfg.contour.theta = 2.0
     with pytest.raises(ConfigurationError, match="probe"):
         replace(cfg, kernel=probe)
+
+
+def test_unforced_windows_refuse_a_missing_u0():
+    """The refusal names u0 before any Sturm count, rule or solve is made."""
+    cfg = cfg_with(times=(0.5, 1.0), gamma=0.5)
+    with pytest.raises(ConfigurationError, match="requires u0"):
+        next(fracresolvent.evolution.unforced_windows(assemble_kimura(48), cfg))
 
 
 def test_mild_homogeneous_equals_family():
@@ -360,6 +374,31 @@ def test_window_solves_are_not_stacked():
     assert peak < stack
 
 
+def test_window_rows_are_summed_in_place():
+    """_node_solves on a 33-time window on a 20,000-node mesh traces a peak below its
+    (33, n) rows, its 8-row chunk buffer and one solve's temporaries, give or take 16 KiB
+    of interpreter objects: each chunk is added into the rows in place.  Forming each
+    chunk's product as a (33, n) complex array took 10.6 MB more."""
+    op = assemble_kimura(20_000)
+    u0 = np.sin(np.pi * np.arange(1, op.n + 1) / (op.n + 1))
+    times = np.logspace(-2.0, 1.0, 33)
+    quad = build_quadrature(BASE_SPEC, times, 1e-8)
+    factor = quad.weights * np.exp(quad.nodes * times[:, None]) * eval_kernel(ABC_HALF,
+                                                                              quad.nodes)
+    z, rows = redirect(quad.nodes, ABC_HALF.alpha), [u0] * quad.nodes.size
+    resolve(op, -z[0], u0)  # any first-call allocation is made before tracing
+    tracemalloc.start()
+    try:
+        resolve(op, -z[0], u0)
+        solve = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fracresolvent.evolution._node_solves(op, z, factor, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.size * op.n * 8 + 8 * op.n * 16 + solve + 2**14
+
+
 def _exact_energy(op, u) -> Fraction:
     """u^T S u summed exactly in rationals from the float entries of S and u."""
     d, e = (list(map(Fraction, band.tolist())) for band in (op.stiffness.diag,
@@ -467,16 +506,17 @@ def test_mild_product_rule_order():
 @pytest.mark.parametrize("times, forcing, solves, eliminations", (
     ((0.1, 1.0), lambda tau: np.ones(50), 1920, 30),
     ((0.1, 1.0), None, 30, 30),
-    (np.logspace(-3.0, 1.0, 33), None, 114, 114),
+    (np.logspace(-3.0, 1.0, 33), None, 92, 92),
 ), ids=("forced", "free", "sweep"))
 def test_mild_solve_counts(monkeypatch, times, forcing, solves, eliminations):
     """Forced: 15 nodes per lag at tol = 1e-8, and per output time one pass of
     n_sub 15 solves, lag 0's for V(t) u0 and the lag-0 forcing terms together, each
     later lag's for its real slope-jump row.  A forcing constant in tau has zero
     slope jumps after lag 0, so only lag 0's 15 solves per output time reach zgtsv.  Unforced: one
-    inversion per window, whose contour serves [t0, 10 t0]: 30 nodes for
-    (0.1, 1); 30, 30, 30 and 24 for the windows of 9, 9, 9 and 6 times of
-    the 33-time sweep, where one inversion per time made 495."""
+    inversion per window, whose contour serves [t0, t1]: 30 nodes for (0.1, 1);
+    28 and 64 for the windows of 8 and 25 times of the 33-time sweep, grown back
+    from its last time to the node budget, where windows of at most a decade made
+    114 and one inversion per time made 495."""
     calls = {"solve": 0, "zgtsv": 0}
 
     def counted(module, name, key):
@@ -653,8 +693,8 @@ def test_laplace_check_unchanged_by_numpy_trapezoid(monkeypatch):
 
 def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
     """The coarse and fine log grids over [1e-10, 40] (558 and 1,115 times at
-    lam = 1) are each grouped into time windows: 24 contours, where one per
-    time would make 1,673."""
+    lam = 1) are each grouped into time windows: 8 contours, where windows of at
+    most a decade made 24 and one per time would make 1,673."""
     build = fracresolvent.evolution.build_quadrature
     sizes = []
 
@@ -666,7 +706,7 @@ def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
     op = assemble_kimura(30)
     report = laplace_check(op, cfg_with(), 1.0, x=np.sin(np.pi * np.arange(1, 31) / 31.0))
     assert report.rel_err <= 1e-3
-    assert (len(sizes), sum(sizes)) == (24, 558 + 1115)
+    assert (len(sizes), sum(sizes)) == (8, 558 + 1115)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.8), (0.3, 0.5)])
@@ -674,7 +714,7 @@ def test_laplace_check_w_kernel_sliver(alpha, beta):
     """The w modes grow like t^(-alpha) near 0; the [0, 1e-10] sliver is integrated
     as that power law.  At LAPLACE_T_MIN = 1e-6 the power law's next term left
     6.4e-4 at alpha = 1/2, which grid_delta (6.7e-6) did not see; at 1e-10 the
-    rel_err is 6.0e-8 and 5.2e-11."""
+    rel_err is 6.0e-8 and 6.0e-11."""
     kernel = KernelParams(kind="w", alpha=alpha, beta=beta)
     cfg = cfg_with(contour=default_contour_spec(alpha, 1e-8), kernel=kernel)
     x = np.sin(np.pi * np.arange(1, 201) / 201.0)

@@ -210,6 +210,31 @@ def test_resolve_at_an_eigenvalue_refuses_a_zero_rhs():
             resolve(op, complex(lam), np.zeros(8))
 
 
+def test_resolve_guard_reads_eigenvalues_only(monkeypatch):
+    """The on-axis guard forms no eigenvectors (n^2 floats at large n): it still refuses z
+    at an eigenvalue and solves z 1e-6 off the axis with eigh_tridiagonal refused."""
+    op = assemble_kimura(48)
+    lam = op.eigenvalues_below(math.inf)
+
+    def refuse(m):
+        raise AssertionError("the spectral guard decomposed the operator")
+
+    monkeypatch.setattr(fracresolvent.operators, "eigh_tridiagonal", refuse)
+    with pytest.raises(SingularMatrixError, match="lies within"):
+        resolve(op, complex(lam[3]), np.ones(48))
+    assert np.all(np.isfinite(resolve(op, complex(lam[3], 1e-6), np.ones(48))))
+
+
+def test_weighted_norm_of_complex_rows():
+    """A complex vector, and each complex row, is normed as sqrt(sum M |x|^2)."""
+    op = assemble_kimura(20)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
+    want = np.sqrt(np.sum(op.lumped_mass * np.abs(x) ** 2, axis=-1))
+    assert np.allclose(op.weighted_norm(x), want, rtol=1e-15, atol=0.0)
+    assert op.weighted_norm(x[0]) == pytest.approx(want[0], rel=1e-15)
+
+
 def test_apply_spectral_identity_and_norm():
     op = assemble_kimura(20)
     rng = np.random.default_rng(37)

@@ -72,12 +72,12 @@ def test_tracer_counts_a_forced_mild_solution(counters):
 
 def test_tracer_counts_an_unforced_sweep(counters):
     sweep = counters[1]
-    # 33 times over [1e-3, 10] in four windows, on contours of 30, 30, 30 and 24 nodes;
+    # 33 times over [1e-3, 10] in two windows, on contours of 28 and 64 nodes;
     # the norms at gamma = 1/2 take u^T S u and a Sturm count, and form no eigenbasis
     assert sweep.get("tridiag.eigh_tridiagonal.calls", 0) == 0
-    assert sweep["contour.build_quadrature.calls"] == 4
-    assert sweep["contour.build_quadrature.useful"] == 4
-    assert sweep["kernels.eval_kernel.calls"] == 4
-    assert sweep["tridiag.solve_tridiagonal.calls"] == 114
-    assert sweep["operators.resolve.calls"] == 114
+    assert sweep["contour.build_quadrature.calls"] == 2
+    assert sweep["contour.build_quadrature.useful"] == 2
+    assert sweep["kernels.eval_kernel.calls"] == 2
+    assert sweep["tridiag.solve_tridiagonal.calls"] == 92
+    assert sweep["operators.resolve.calls"] == 92
     assert sweep["evolution.mild_solution.calls"] == 1
