@@ -18,6 +18,8 @@ The vector work is whole-array in bounded memory: a window's node solves are
 added into the rows of all of its times in place, by two real matrix products per
 512 KiB chunk of them, and normed before the next window is solved; a forced time's
 lags share one kernel evaluation and one such pass over all of its (lag, node) solves.
+An A^gamma norm is the energy u^T S u at gamma = 1/2, else the eigen-coefficients
+Q^T M^(1/2) u times lam^gamma; laplace_check takes its mode values on one log grid.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def _require_psd(lam: np.ndarray) -> None:
 
 
 def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
-    """Eigenvalues of A for _fractional_power and laplace_check's mode values, roundoff
-    negatives set to 0; a pencil that is not PSD is refused."""
+    """Eigenvalues of A for A^gamma at gamma not in {0, 1/2} and laplace_check's mode
+    values, roundoff negatives set to 0; a pencil that is not PSD is refused."""
     lam = op.eigensystem().eigenvalues
     _require_psd(lam)
     return np.maximum(lam, 0.0)
@@ -199,16 +201,10 @@ def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> 
     return out
 
 
-def _fractional_power(op: DiscreteOperator, gamma: float, u: np.ndarray) -> np.ndarray:
-    """A^gamma u: u itself at gamma == 0, else through the eigenbasis."""
-    if gamma == 0.0:
-        return u
-    return op.apply_spectral(_clamped_spectrum(op) ** gamma, u)
-
-
 def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
-    """A^gamma V(t) x: V(t) x by shifted solves, then A^gamma."""
-    return _fractional_power(op, cfg.gamma, resolvent_apply(op, cfg, t, x))
+    """A^gamma V(t) x: V(t) x by shifted solves, then A^gamma through the eigenbasis."""
+    v = resolvent_apply(op, cfg, t, x)
+    return v if cfg.gamma == 0.0 else op.apply_spectral(_clamped_spectrum(op) ** cfg.gamma, v)
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
@@ -217,7 +213,8 @@ def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
     gamma == 1/2 sums ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u from the stiffness
     bands in terms that do not cancel (see _smoothed_norms) and forms no eigenvectors;
     the pencil is still refused as not PSD when one Sturm count finds an eigenvalue
-    below EIGENVALUE_CLAMP.  Any other gamma applies A^gamma as smoothed_apply does.
+    below EIGENVALUE_CLAMP.  Any other gamma > 0 is the 2-norm of u's eigen-coefficients
+    times lam^gamma, with no back-transform.
     """
     _check_gamma(gamma)
     return float(_smoothed_norms(op, gamma)(op.check_vector(_real(u, "u"))[None, :])[0])
@@ -226,9 +223,13 @@ def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
 def _smoothed_norms(op: DiscreteOperator, gamma: float):
     """smoothed_norm of each row, as a function set up once.  At gamma == 1/2, u^T S u is
     sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off and r = S 1: on an assembled S each
-    w >= 0 and r is 0 up to rounding but at a Dirichlet end, so nothing cancels."""
+    w >= 0 and r is 0 up to rounding but at a Dirichlet end, so nothing cancels.  Other
+    gamma > 0: ||A^gamma u||_M = ||lam^gamma Q^T M^(1/2) u||_2, as Q is orthogonal."""
+    if gamma == 0.0:
+        return op.weighted_norm
     if gamma != 0.5:
-        return lambda states: op.weighted_norm(_fractional_power(op, gamma, states))
+        power = _clamped_spectrum(op) ** gamma
+        return lambda states: np.linalg.norm(power * op.spectral_coefficients(states), axis=-1)
     _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
     w, r = -op.stiffness.off, op.stiffness.matvec(np.ones(op.n))
     def norms(states):
@@ -335,12 +336,12 @@ def laplace_check(
     [1e-10, 40/lam] (trapezoid in log t).  On the [0, 1e-10] sliver each mode
     is the power law t^(-p) through the first two grid samples, whose integral
     is T v(T) e^(-lam T) / (1 - p) at T = 1e-10; a p that is not finite or
-    not below 1 is a refinement error.  Doubling the grid density from
-    LAPLACE_POINTS_PER_DECADE must move lhs by less than LAPLACE_TOL / 2
-    or a refinement error is raised.  rhs is K(lam) (lam^(alpha-1) I + A)^(-1) x
-    through the real banded solve, an entirely separate code path from the
-    spectral evaluation used for lhs.  The 40/lam truncation leaves an
-    e^(-40) tail, far below any tolerance in play.
+    not below 1 is a refinement error.  The mode values are taken once, on the fine
+    grid: LAPLACE_POINTS_PER_DECADE points plus their log-midpoints.  The integral on
+    every other sample must be within LAPLACE_TOL / 2 of it or a refinement error is
+    raised.  rhs is K(lam) (lam^(alpha-1) I + A)^(-1) x through the real banded solve,
+    a separate code path from the spectral evaluation used for lhs.  The 40/lam
+    truncation leaves an e^(-40) tail, far below any tolerance in play.
     """
     if lam <= 0.0:
         raise ConfigurationError("transform frequency must be positive, got %r" % lam)
@@ -348,9 +349,7 @@ def laplace_check(
     if x is None:
         raise ConfigurationError("laplace_check needs a vector: pass x or set u0")
     x = op.check_vector(_real(x, "x"))
-    t_max = LAPLACE_TAIL_FACTOR / lam
-    coarse = _transform_integral(op, cfg, lam, x, t_max, LAPLACE_POINTS_PER_DECADE)
-    fine = _transform_integral(op, cfg, lam, x, t_max, 2 * LAPLACE_POINTS_PER_DECADE)
+    coarse, fine = _transform_integral(op, cfg, lam, x, LAPLACE_TAIL_FACTOR / lam)
     scale = max(op.weighted_norm(fine), 1e-300)
     grid_delta = op.weighted_norm(fine - coarse) / scale
     if grid_delta > 0.5 * LAPLACE_TOL:
@@ -366,22 +365,25 @@ def laplace_check(
     return LaplaceReport(lhs=fine, rhs=rhs, rel_err=float(rel_err), grid_delta=float(grid_delta))
 
 
-def _transform_integral(op, cfg, lam, x, t_max, points_per_decade) -> np.ndarray:
+def _transform_integral(op, cfg, lam, x, t_max) -> np.ndarray:
+    """The coarse and fine lhs of laplace_check as two rows, from one pass of mode values."""
     decades = math.log10(t_max / LAPLACE_T_MIN)
-    n = max(int(math.ceil(decades * points_per_decade)), 8) + 1
+    n = 2 * max(int(math.ceil(decades * LAPLACE_POINTS_PER_DECADE)), 8) + 1
     ts = np.logspace(math.log10(LAPLACE_T_MIN), math.log10(t_max), n)
     spectrum = _clamped_spectrum(op)
-    # apply_spectral is linear in its values: integrate the mode values, apply once
     vals = np.empty((n, op.n))
     for window in time_windows(cfg.contour, ts, cfg.tol):
         quad = build_quadrature(cfg.contour, ts[window], cfg.tol)
         vals[window] = scalar_mode_values(quad, cfg.kernel, spectrum, ts[window, None])
     integrand = np.exp(-lam * ts)[:, None] * vals * ts[:, None]
-    acc = np.trapezoid(integrand, x=np.log(ts), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.log(vals[0] / vals[1]) / math.log(ts[1] / ts[0])
-    if not np.all(np.isfinite(p) & (p < 1.0)):
-        raise RefinementNeededError("the modes are not power laws t^(-p), p < 1, on [0, %g]: "
-                                    "p up to %r" % (LAPLACE_T_MIN, float(np.max(p))))
-    acc += integrand[0] / (1.0 - p)
+    acc = np.empty((2, op.n))
+    for row, step in enumerate((2, 1)):  # the coarse grid is every other fine sample
+        t, v, f = ts[::step], vals[::step], integrand[::step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.log(v[0] / v[1]) / math.log(t[1] / t[0])
+        if not np.all(np.isfinite(p) & (p < 1.0)):
+            raise RefinementNeededError("the modes are not power laws t^(-p), p < 1, on "
+                                        "[0, %g]: p up to %r" % (LAPLACE_T_MIN, float(np.max(p))))
+        acc[row] = np.trapezoid(f, x=np.log(t), axis=0) + f[0] / (1.0 - p)
+    # apply_spectral is linear in its values: integrate the mode values, apply once
     return op.apply_spectral(acc, x)

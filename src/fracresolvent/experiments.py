@@ -193,6 +193,9 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OutputError("cannot read config %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError("config %s is not UTF-8 text: byte 0x%02x at offset %d"
+                                 % (path, exc.object[exc.start], exc.start)) from exc
     return parse_config(text)
 
 
@@ -235,9 +238,9 @@ def _initial_profile(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
         return ((xi >= length / 3.0) & (xi <= 2.0 * length / 3.0)).astype(np.float64)
     try:
         data = np.loadtxt(cfg.u0_spec, dtype=np.float64)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: text, ragged rows, bytes not UTF-8
         raise ConfigurationError(
-            "run.u0 %r is neither a named profile (%s) nor a readable file: %s"
+            "run.u0 %r is neither a named profile (%s) nor a readable table of numbers: %s"
             % (cfg.u0_spec, ", ".join(U0_PROFILES), exc)
         ) from exc
     data = np.atleast_1d(data)

@@ -49,17 +49,11 @@ class DiscreteOperator:
         if np.any(self.lumped_mass <= 0.0):
             raise ConfigurationError("lumped mass must be strictly positive")
         self._eig = None
-        self._sqrt_mass = None
+        self.sqrt_mass = np.sqrt(self.lumped_mass)
 
     @property
     def n(self) -> int:
         return self.stiffness.n
-
-    @property
-    def sqrt_mass(self) -> np.ndarray:
-        if self._sqrt_mass is None:
-            self._sqrt_mass = np.sqrt(self.lumped_mass)
-        return self._sqrt_mass
 
     def _symmetrized(self) -> TridiagonalMatrix:
         """A~ = M^{-1/2} S M^{-1/2}, the symmetric form sharing A's spectrum."""
@@ -92,16 +86,19 @@ class DiscreteOperator:
         return np.sqrt(np.einsum("...i,i,...i->...", x.conj() if np.iscomplexobj(x) else x,
                                  self.lumped_mass, x).real)
 
+    def spectral_coefficients(self, x: np.ndarray) -> np.ndarray:
+        """Q^T M^{1/2} x, x's coefficients in the eigenbasis Q of A~; a 2-d x row by row."""
+        return (self.sqrt_mass * x) @ self.eigensystem().eigenvectors
+
     def apply_spectral(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply g(A) given g's values on the spectrum of A~.
 
         Computes M^{-1/2} Q diag(values) Q^T M^{1/2} x, which represents
-        g(A) because A = M^{-1/2} A~ M^{1/2}; a 2-d x is taken row by row.
+        g(A) because A = M^{-1/2} A~ M^{1/2}; a 2-d x is taken row by row, and
+        2-d values give one row per row of values.
         """
-        eig = self.eigensystem()
-        d = self.sqrt_mass
-        coeff = (d * x) @ eig.eigenvectors
-        return ((values * coeff) @ eig.eigenvectors.T) / d
+        coeff = values * self.spectral_coefficients(x)
+        return (coeff @ self.eigensystem().eigenvectors.T) / self.sqrt_mass
 
 
 def _gauss4(edges: np.ndarray, integrand) -> np.ndarray:
@@ -241,27 +238,24 @@ def sectoriality_check(op: DiscreteOperator, theta: float) -> SectorialityReport
     Sampled z = rho e^{i theta'} on the _SECTOR_ANGLES rays theta' in
     [theta, pi] at the _SECTOR_RADII rho in [1, 1e6]; the conjugate ray
     gives identical distances to the real spectrum and is not re-sampled.
+    The nearest eigenvalue to z is one of the two on either side of Re z
+    (np.searchsorted), so no (samples, n) distance matrix is formed.
     The geometric bound is 1/sin(pi - theta); passed says the estimate is
     finite and at or below it.
     """
     if not math.pi / 2.0 < theta < math.pi:
         raise ConfigurationError("theta must lie in (pi/2, pi), got %r" % theta)
-    lam = op.eigenvalues_below(math.inf)  # no eigenvectors: n^2 floats at large n
-    m_hat = 0.0
-    worst = complex(0.0)
-    for ang in np.linspace(theta, math.pi, _SECTOR_ANGLES):
-        zs = _SECTOR_RADII * np.exp(1j * ang)
-        dist = np.min(np.abs(zs[:, None] - lam[None, :]), axis=1)
-        ratio = _SECTOR_RADII / dist
-        i = int(np.argmax(ratio))
-        if ratio[i] > m_hat:
-            m_hat = float(ratio[i])
-            worst = complex(zs[i])
+    lam = op.eigenvalues_below(math.inf)  # ascending, no eigenvectors: n^2 floats at large n
+    zs = np.exp(1j * np.linspace(theta, math.pi, _SECTOR_ANGLES))[:, None] * _SECTOR_RADII
+    right = np.minimum(np.searchsorted(lam, zs.real), lam.size - 1)
+    dist = np.minimum(np.abs(zs - lam[right]), np.abs(zs - lam[np.maximum(right - 1, 0)]))
+    ratio = (_SECTOR_RADII / dist).ravel()
+    i = int(np.argmax(ratio))  # the first worst sample, ray by ray
     bound = 1.0 / math.sin(math.pi - theta)
     return SectorialityReport(
-        m_theta_hat=m_hat,
+        m_theta_hat=float(ratio[i]),
         theta=theta,
         bound=bound,
-        passed=bool(np.isfinite(m_hat) and m_hat <= bound),
-        worst_z=worst,
+        passed=bool(np.isfinite(ratio[i]) and ratio[i] <= bound),
+        worst_z=complex(zs.flat[i]),
     )

@@ -224,6 +224,31 @@ def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gam
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("content", (b"hello\nworld\n", b"1 2\n3\n", b"\xff\xfe\n1\n"),
+                         ids=("text", "ragged", "not-utf8"))
+def test_malformed_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, content):
+    """A run.u0 file that is not a table of numbers exits 2 and names the file."""
+    monkeypatch.chdir(tmp_path)
+    u0 = tmp_path / "u0.txt"
+    u0.write_bytes(content)
+    assert _run_config(tmp_path, "operator.n = 2\nrun.u0 = %s\n" % u0) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: run.u0 %r" % str(u0))
+    assert "readable table of numbers" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    """A config that is not UTF-8 exits 2, naming the file and the bad byte's offset."""
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"run.mode = smoothing\n# caf\xe9\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config %s" % cfg)
+    assert "byte 0xe9 at offset 26" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", (("run.t_max", "inf"), ("kernel.B", "inf"),
                                         ("contour.tol", "nan"), ("run.gamma", "-inf")))
 def test_non_finite_float_key_is_a_config_error(tmp_path, capsys, monkeypatch, key, value):

@@ -35,7 +35,13 @@ from fracresolvent.evolution import (
     smoothed_norm,
 )
 from fracresolvent.kernels import KernelParams, eval_kernel, redirect
-from fracresolvent.operators import assemble_bessel, assemble_kimura, make_diagonal, resolve
+from fracresolvent.operators import (
+    DiscreteOperator,
+    assemble_bessel,
+    assemble_kimura,
+    make_diagonal,
+    resolve,
+)
 
 ABC_HALF = KernelParams(kind="abc", alpha=0.5)
 BASE_SPEC = default_contour_spec(0.5, 1e-8)
@@ -415,6 +421,25 @@ def _norm_of_one_state(op, gamma, u):
     return op.weighted_norm(u)
 
 
+@pytest.mark.parametrize("gamma", (0.1, 0.25, 0.75, 0.9))
+@pytest.mark.parametrize("make", (lambda: assemble_kimura(200),
+                                  lambda: assemble_bessel(0.25, 20.0, 200)),
+                         ids=("kimura", "bessel"))
+def test_fractional_norm_needs_no_back_transform(monkeypatch, make, gamma):
+    """At gamma not in {0, 1/2}, ||A^gamma u||_M is the 2-norm of lam^gamma times u's
+    eigen-coefficients: with apply_spectral refused, it is within 1e-13 of the
+    M-norm of the back-transformed A^gamma u."""
+    op = make()
+    u = np.random.default_rng(3).standard_normal(op.n)
+    want = op.weighted_norm(op.apply_spectral(_clamped_spectrum(op) ** gamma, u))
+
+    def refuse(self, values, x):
+        raise AssertionError("the norm back-transformed A^gamma u")
+
+    monkeypatch.setattr(DiscreteOperator, "apply_spectral", refuse)
+    assert smoothed_norm(op, gamma, u) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def kimura_4000():
     n = 4000
@@ -692,9 +717,9 @@ def test_laplace_check_unchanged_by_numpy_trapezoid(monkeypatch):
 
 
 def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
-    """The coarse and fine log grids over [1e-10, 40] (558 and 1,115 times at
-    lam = 1) are each grouped into time windows: 8 contours, where windows of at
-    most a decade made 24 and one per time would make 1,673."""
+    """The fine log grid over [1e-10, 40] (1,115 times at lam = 1, the coarse grid
+    every other one of them) is grouped into time windows: 4 contours, where two
+    grids made 8, windows of at most a decade made 24 and one per time 1,673."""
     build = fracresolvent.evolution.build_quadrature
     sizes = []
 
@@ -706,7 +731,37 @@ def test_laplace_check_builds_one_quadrature_per_window(monkeypatch):
     op = assemble_kimura(30)
     report = laplace_check(op, cfg_with(), 1.0, x=np.sin(np.pi * np.arange(1, 31) / 31.0))
     assert report.rel_err <= 1e-3
-    assert (len(sizes), sum(sizes)) == (8, 558 + 1115)
+    assert (len(sizes), sum(sizes)) == (4, 1115)
+
+
+def test_laplace_check_coarse_integral_is_every_other_fine_sample(monkeypatch):
+    """One pass of mode values over one log grid serves both integrals: the coarse
+    one is the trapezoid, with its power-law sliver, on every other fine sample."""
+    modes, apply = fracresolvent.evolution.scalar_mode_values, DiscreteOperator.apply_spectral
+    ts, vals, applied = [], [], []
+
+    def recorded_modes(quad, kernel, lam, t):
+        ts.append(t[:, 0])
+        vals.append(modes(quad, kernel, lam, t))
+        return vals[-1]
+
+    def recorded_apply(self, values, x):
+        applied.append(values)
+        return apply(self, values, x)
+
+    monkeypatch.setattr(fracresolvent.evolution, "scalar_mode_values", recorded_modes)
+    monkeypatch.setattr(DiscreteOperator, "apply_spectral", recorded_apply)
+    lam = 2.0
+    laplace_check(assemble_kimura(30), cfg_with(), lam, x=np.sin(np.pi * np.arange(1, 31) / 31.0))
+    t, v = np.concatenate(ts), np.concatenate(vals)
+    assert t.size % 2 == 1 and np.all(np.diff(t) > 0.0)  # one grid, each time once
+    (integrals,) = applied
+    for row, step in ((0, 2), (1, 1)):
+        tt, vv = t[::step], v[::step]
+        f = np.exp(-lam * tt)[:, None] * vv * tt[:, None]
+        p = np.log(vv[0] / vv[1]) / math.log(tt[1] / tt[0])
+        want = np.trapezoid(f, x=np.log(tt), axis=0) + f[0] / (1.0 - p)
+        assert np.allclose(integrals[row], want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.8), (0.3, 0.5)])

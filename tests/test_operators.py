@@ -272,6 +272,37 @@ def test_sectoriality_reads_eigenvalues_only(monkeypatch, op, m_hat):
     assert report.m_theta_hat == pytest.approx(m_hat, rel=1e-14, abs=0.0)
 
 
+def _m_hat_by_distance_matrix(op, theta):
+    """The estimate from every sample's distance to every eigenvalue."""
+    lam = op.eigenvalues_below(math.inf)
+    zs = np.outer(np.exp(1j * np.linspace(theta, math.pi, fracresolvent.operators._SECTOR_ANGLES)),
+                  fracresolvent.operators._SECTOR_RADII)
+    ratio = np.abs(zs) / np.min(np.abs(zs[..., None] - lam), axis=-1)
+    return ratio.max()
+
+
+@pytest.mark.parametrize("op", (
+    assemble_kimura(80),
+    assemble_bessel(0.25, 20.0, 80),
+    make_diagonal([0.0, 1.0, 2.0]),
+    DiscreteOperator(kind="pencil", stiffness=TridiagonalMatrix(np.array([-50.0, 0.3, 7.0]),
+                                                                np.zeros(2)),
+                     lumped_mass=np.ones(3)),
+), ids=("kimura", "bessel", "diagonal", "pencil"))
+def test_sectoriality_reads_the_nearest_eigenvalues(op):
+    """Each sample's distance comes from the two eigenvalues on either side of Re z,
+    with no (samples, n) distance matrix; the estimate is the matrix's to rounding.
+    On the pencil with eigenvalues (-50, 0.3, 7) the nearest is often not the smallest."""
+    for theta in (0.6 * math.pi, 3.0 * math.pi / 4.0):
+        report = sectoriality_check(op, theta)
+        assert report.m_theta_hat == pytest.approx(_m_hat_by_distance_matrix(op, theta),
+                                                   rel=1e-14, abs=0.0)
+    if op.kind == "pencil":
+        assert report.m_theta_hat == 9.020362070798647
+        assert report.worst_z == complex(-56.23413251903491, 6.886695039226418e-15)
+        assert not report.passed
+
+
 def test_sectoriality_narrower_angle():
     op = make_diagonal([0.0, 1.0, 2.0])
     report = sectoriality_check(op, 0.6 * math.pi)

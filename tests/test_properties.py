@@ -102,6 +102,10 @@ def _floats(low, high):
 
 # a run.u0 file holding the subnormal 1e-320 at every node: its norms underflow to zero
 SUBNORMAL_U0 = "subnormal.txt"
+# a run.u0 file holding words where numbers belong
+MALFORMED_U0 = "malformed.txt"
+# the byte 0xff, which no UTF-8 text holds: the config is written with surrogateescape
+NOT_UTF8 = "\udcff"
 # a value each key's parser accepts
 _VALID = {
     "run.mode": st.sampled_from(MODES),
@@ -127,13 +131,13 @@ _VALID = {
     "output.svg": st.just("out.svg"),
 }
 # refused values: these for any key, and a few of a key's own
-_BAD = ("0", "-1", "nan", "inf", "1e300", "x")
+_BAD = ("0", "-1", "nan", "inf", "1e300", "x", NOT_UTF8)
 _BAD_FOR = {
     "run.mode": ("other",),
     "operator.kind": ("heat",),
     "operator.n": ("2.5",),
     "contour.theta": ("1.57085", "3.1415926"),
-    "run.u0": ("no_such_profile",),
+    "run.u0": ("no_such_profile", MALFORMED_U0),
     "output.svg": ("no_dir/out.svg",),
 }
 
@@ -149,6 +153,8 @@ def configs(draw):
 
 
 @example({"operator.n": "10", "run.u0": SUBNORMAL_U0, "output.svg": "out.svg"}, True)
+@example({"operator.n": "2", "run.u0": MALFORMED_U0}, True)
+@example({"run.t_count": NOT_UTF8}, True)
 @given(configs(), st.booleans())
 def test_fuzzed_configs_exit_cleanly(entries, keep_unread):
     """keep_unread False drops the keys the drawn mode does not read, so that
@@ -160,10 +166,12 @@ def test_fuzzed_configs_exit_cleanly(entries, keep_unread):
         entries = dict(entries, **{"output.csv": str(Path(tmp) / "out.csv")})
         if "output.svg" in entries:
             entries["output.svg"] = str(Path(tmp) / entries["output.svg"])
-        if entries.get("run.u0") == SUBNORMAL_U0:
-            entries["run.u0"] = str(Path(tmp) / SUBNORMAL_U0)
+        if entries.get("run.u0") in (SUBNORMAL_U0, MALFORMED_U0):
+            entries["run.u0"] = str(Path(tmp) / entries["run.u0"])
         n = entries.get("operator.n", str(ExperimentConfig().n))
         (Path(tmp) / SUBNORMAL_U0).write_text("1e-320\n" * (int(n) if n.isdigit() else 1))
+        (Path(tmp) / MALFORMED_U0).write_text("hello\nworld\n")
         path = Path(tmp) / "fuzz.cfg"
-        path.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
+        text = "".join("%s = %s\n" % kv for kv in entries.items())
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main(["run", str(path)]) in (0, 2, 3, 4)
