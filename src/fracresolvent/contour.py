@@ -98,12 +98,14 @@ def min_theta(alpha: float, theta_A: float = DEFAULT_THETA_A) -> float:
 
 
 def angle_condition(alpha: float, theta: float, theta_A: float) -> bool:
-    """Redirection predicate: (1 - alpha) * theta >= theta_A.
+    """Redirection predicate: theta >= min_theta(alpha, theta_A) = theta_A / (1 - alpha).
 
     When it holds, the images of the asymptotes (rays at +/-theta) under
-    s -> s^(alpha-1) lie at least theta_A off the positive real axis.
+    s -> s^(alpha-1) lie at least theta_A off the positive real axis.  It is
+    min_theta's own quotient, not the product (1 - alpha) theta, which can round
+    below theta_A at theta = min_theta: the default angle then passes its own check.
     """
-    return (1.0 - alpha) * theta >= theta_A
+    return theta >= min_theta(alpha, theta_A)
 
 
 def default_contour_spec(
@@ -119,17 +121,15 @@ def default_contour_spec(
     longer shapes the spec: the tolerance of a run is passed to
     build_quadrature, which sizes the rule.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1), got %r" % alpha)
+    floor = min_theta(alpha)  # refuses an alpha outside (0, 1)
     if not 0.0 < tol < 1.0:
         raise ConfigurationError("tol must lie in (0, 1), got %r" % tol)
     if theta is None:
-        theta = max(DEFAULT_THETA, min_theta(alpha))
+        theta = max(DEFAULT_THETA, floor)
         if theta >= math.pi:
-            raise ConfigurationError(
-                "no contour angle below pi satisfies (1-alpha)*theta >= theta_A "
-                "for alpha=%g, theta_A=%g" % (alpha, DEFAULT_THETA_A)
-            )
+            raise ConfigurationError("no contour angle below pi satisfies theta >= theta_A / "
+                                     "(1 - alpha) for alpha=%g, theta_A=%g"
+                                     % (alpha, DEFAULT_THETA_A))
     return ContourSpec(theta=theta, n_nodes=n_nodes)
 
 

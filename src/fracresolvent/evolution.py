@@ -18,8 +18,8 @@ The vector work is whole-array in bounded memory: a window's node solves are
 added into the rows of all of its times in place, by two real matrix products per
 512 KiB chunk of them, and normed before the next window is solved; a forced time's
 lags share one kernel evaluation and one such pass over all of its (lag, node) solves.
-An A^gamma norm is the energy u^T S u at gamma = 1/2, else the eigen-coefficients
-Q^T M^(1/2) u times lam^gamma; laplace_check takes its mode values on one log grid.
+Spectral questions go to the operator: every route runs op.require_psd before its first
+solve, at any gamma, and A^gamma takes op.spectrum() and its norms op.power_norms(gamma).
 """
 
 from __future__ import annotations
@@ -44,12 +44,10 @@ from fracresolvent.contour import (
 from fracresolvent.errors import (
     ConfigurationError,
     EvaluationError,
-    NumericalError,
     RefinementNeededError,
 )
 from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel, redirect
 from fracresolvent.operators import DiscreteOperator, resolve
-from fracresolvent.tridiag import EIGENVALUE_CLAMP
 
 DEFAULT_CONV_SUBINTERVALS = 64
 LAPLACE_T_MIN = 1e-10
@@ -154,26 +152,11 @@ def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
     return s, quad.weights * np.exp(s * t) * eval_kernel(kernel, s)
 
 
-def _require_psd(lam: np.ndarray) -> None:
-    """Refuse a pencil whose ascending eigenvalues lam start below EIGENVALUE_CLAMP."""
-    if lam.size and lam[0] < EIGENVALUE_CLAMP:
-        raise NumericalError(
-            "eigenvalue %g below the clamp threshold %g: operator is not PSD"
-            % (lam[0], EIGENVALUE_CLAMP)
-        )
-
-
-def _clamped_spectrum(op: DiscreteOperator) -> np.ndarray:
-    """Eigenvalues of A for A^gamma at gamma not in {0, 1/2} and laplace_check's mode
-    values, roundoff negatives set to 0; a pencil that is not PSD is refused."""
-    lam = op.eigensystem().eigenvalues
-    _require_psd(lam)
-    return np.maximum(lam, 0.0)
-
-
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
-    """V(t) x by one banded solve per contour node."""
-    return _inverse_apply(op, cfg, [t], op.check_vector(_real(x, "x")))[0]
+    """V(t) x by one banded solve per contour node, on a pencil op.require_psd passes."""
+    x = op.check_vector(_real(x, "x"))
+    op.require_psd()
+    return _inverse_apply(op, cfg, [t], x)[0]
 
 
 def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.ndarray:
@@ -204,47 +187,22 @@ def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> 
 def smoothed_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
     """A^gamma V(t) x: V(t) x by shifted solves, then A^gamma through the eigenbasis."""
     v = resolvent_apply(op, cfg, t, x)
-    return v if cfg.gamma == 0.0 else op.apply_spectral(_clamped_spectrum(op) ** cfg.gamma, v)
+    return v if cfg.gamma == 0.0 else op.apply_spectral(op.spectrum() ** cfg.gamma, v)
 
 
 def smoothed_norm(op: DiscreteOperator, gamma: float, u) -> float:
-    """M-weighted norm of A^gamma u for a real u; gamma must lie in [0, 1).
-
-    gamma == 1/2 sums ||A^(1/2) u||_M^2 = <A u, u>_M = u^T S u from the stiffness
-    bands in terms that do not cancel (see _smoothed_norms) and forms no eigenvectors;
-    the pencil is still refused as not PSD when one Sturm count finds an eigenvalue
-    below EIGENVALUE_CLAMP.  Any other gamma > 0 is the 2-norm of u's eigen-coefficients
-    times lam^gamma, with no back-transform.
-    """
+    """M-weighted norm of A^gamma u for a real u, gamma in [0, 1), by op.power_norms: at
+    gamma == 1/2 ||A^(1/2) u||_M^2 = u^T S u from the stiffness bands, with no eigenvectors;
+    any other gamma > 0 the 2-norm of lam^gamma times u's eigen-coefficients."""
     _check_gamma(gamma)
-    return float(_smoothed_norms(op, gamma)(op.check_vector(_real(u, "u"))[None, :])[0])
-
-
-def _smoothed_norms(op: DiscreteOperator, gamma: float):
-    """smoothed_norm of each row, as a function set up once.  At gamma == 1/2, u^T S u is
-    sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off and r = S 1: on an assembled S each
-    w >= 0 and r is 0 up to rounding but at a Dirichlet end, so nothing cancels.  Other
-    gamma > 0: ||A^gamma u||_M = ||lam^gamma Q^T M^(1/2) u||_2, as Q is orthogonal."""
-    if gamma == 0.0:
-        return op.weighted_norm
-    if gamma != 0.5:
-        power = _clamped_spectrum(op) ** gamma
-        return lambda states: np.linalg.norm(power * op.spectral_coefficients(states), axis=-1)
-    _require_psd(op.eigenvalues_below(EIGENVALUE_CLAMP))  # one Sturm count
-    w, r = -op.stiffness.off, op.stiffness.matvec(np.ones(op.n))
-    def norms(states):
-        d = np.diff(states, axis=-1)
-        form = np.einsum("ij,j,ij->i", d, w, d) + np.einsum("ij,j,ij->i", states, r, states)
-        # S is PSD, so a negative form is roundoff: clamped like the spectrum
-        return np.sqrt(np.maximum(form, 0.0))
-    return norms
+    return float(op.power_norms(gamma)(op.check_vector(_real(u, "u"))[None, :])[0])
 
 
 def unforced_windows(op: DiscreteOperator, cfg: EvolutionConfig):
     """Each time_windows window of cfg.times, its V(t) u0 rows, unforced, and their norms."""
     if cfg.u0 is None:
         raise ConfigurationError("unforced_windows requires u0 in the configuration")
-    norms = _smoothed_norms(op, cfg.gamma)
+    norms = op.power_norms(cfg.gamma)  # the PSD check, before the first solve
     for window in time_windows(cfg.contour, cfg.times, cfg.tol):
         rows = _inverse_apply(op, cfg, cfg.times[window], cfg.u0)
         yield window, rows, norms(rows)
@@ -288,6 +246,7 @@ def mild_solution(
         for window, states[window], norms[window] in unforced_windows(op, cfg):
             pass  # each window's rows and norms are stored in their slices
     else:
+        norm_rows = op.power_norms(cfg.gamma)  # the PSD check, before the first solve
         unit = build_quadrature(cfg.contour, 1.0, cfg.tol)
         for it, t in enumerate(cfg.times.tolist()):
             h = t / n_sub
@@ -302,7 +261,7 @@ def mild_solution(
             b = [*(u0 + f[0] / c + jumps[0] / c**2)] + [row for row in jumps[1:] for _ in c]
             z = redirect(s, cfg.kernel.alpha).ravel()  # lag by lag, as b and factor's row
             states[it] = _node_solves(op, z, factor.reshape(1, -1), b)[0]
-        norms[:] = _smoothed_norms(op, cfg.gamma)(states)
+        norms[:] = norm_rows(states)
     return EvolutionResult(states=states, smoothed_norms=norms)
 
 
@@ -370,7 +329,7 @@ def _transform_integral(op, cfg, lam, x, t_max) -> np.ndarray:
     decades = math.log10(t_max / LAPLACE_T_MIN)
     n = 2 * max(int(math.ceil(decades * LAPLACE_POINTS_PER_DECADE)), 8) + 1
     ts = np.logspace(math.log10(LAPLACE_T_MIN), math.log10(t_max), n)
-    spectrum = _clamped_spectrum(op)
+    spectrum = op.spectrum()  # the PSD check, before the first solve
     vals = np.empty((n, op.n))
     for window in time_windows(cfg.contour, ts, cfg.tol):
         quad = build_quadrature(cfg.contour, ts[window], cfg.tol)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from fracresolvent.contour import DEFAULT_THETA, check_times, default_contour_spec
-from fracresolvent.errors import ConfigurationError, OutputError
+from fracresolvent.errors import ConfigurationError, NumericalError, OutputError
 from fracresolvent.evolution import EvolutionConfig, unforced_windows
 from fracresolvent.kernels import (
     ABC,
@@ -28,14 +28,10 @@ from fracresolvent.kernels import (
     _decade_slope,
     estimate_admissibility,
 )
-from fracresolvent.operators import (
-    BESSEL,
-    KIMURA,
-    DiscreteOperator,
-    assemble_bessel,
-    assemble_kimura,
-)
+from fracresolvent.operators import DiscreteOperator, assemble_bessel, assemble_kimura
 
+KIMURA = "kimura"  # the operator.kind values
+BESSEL = "bessel"
 CSV_HEADER = "t,norm,bound_alpha_gamma,bound_gamma,local_exponent"
 ANCHOR_SAFETY = 1.05
 U0_PROFILES = ("sin_pi_x", "gaussian_bump", "indicator")
@@ -278,12 +274,17 @@ def smoothing_sweep(cfg: ExperimentConfig) -> DecayTable:
     op = build_operator(cfg)
     evo = build_evolution_config(cfg, build_initial_state(cfg, op))
     norms = np.empty(cfg.t_count)
-    for window, states, norms[window] in unforced_windows(op, evo):
-        del states  # dropped before the next window is solved: only norms are written
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in a refusal
+        for window, states, norms[window] in unforced_windows(op, evo):
+            del states  # dropped before the next window is solved: only norms are written
+    if not np.all(np.isfinite(norms)):
+        i = int(np.argmin(np.isfinite(norms)))
+        raise NumericalError("the norm at t = %g is %r: the states overflowed (kernel.B = %g, "
+                             "run.u0 %r)" % (evo.times[i], float(norms[i]), cfg.b, cfg.u0_spec))
     t1, n1 = float(evo.times[0]), float(norms[0])
-    if not (math.isfinite(n1) and n1 > 0.0):
+    if not n1 > 0.0:
         raise ConfigurationError("run.u0 %r has norm %r at t_min = %g; the anchored bounds "
-                                 "need a positive, finite one" % (cfg.u0_spec, n1, t1))
+                                 "need a positive one" % (cfg.u0_spec, n1, t1))
     scale = ANCHOR_SAFETY * n1
     bound_ag = scale * (evo.times / t1) ** (-cfg.alpha * cfg.gamma)
     bound_g = scale * (evo.times / t1) ** (-cfg.gamma)

@@ -28,7 +28,6 @@ _KINDS = (ABC, W, CAPUTO_PROBE)
 # the contour's asymptotic angle unless a config or the redirection condition sets another
 DEFAULT_THETA = 3.0 * math.pi / 4.0
 
-_DENOM_FLOOR = 1e-300
 # sampling range for admissibility: deep on the small side so that slow
 # transients (abc with small alpha) flatten out while a genuine power
 # divergence keeps its slope all the way down
@@ -119,31 +118,28 @@ def eval_kernel(params: KernelParams, s):
     """Evaluate the multiplier at points off the branch cut.
 
     Accepts scalars or arrays; principal-branch powers throughout, with
-    s^(alpha-1) and the branch-cut refusal taken from redirect.
+    s^(alpha-1) and the branch-cut refusal taken from redirect.  Off the cut no
+    denominator vanishes (|arg s^alpha| < alpha pi, |arg s^(alpha-1)| < (1 - alpha) pi);
+    a K that is not finite, as when a large amplitude b overflows, is refused by its s.
     """
     arr = np.asarray(s, dtype=np.complex128)
     a = params.alpha
     salpham1 = redirect(arr, a)
     if params.kind == ABC:
-        c = a / (1.0 - a)
-        denom = principal_power(arr, a) + c
-        _check_denominator(denom)
-        out = (params.b / (1.0 - a)) * salpham1 / denom
+        scale, denom = params.b / (1.0 - a), principal_power(arr, a) + a / (1.0 - a)
     elif params.kind == W:
-        base = 1.0 + (1.0 - a) * salpham1
-        _check_denominator(base)
-        denom = np.exp(params.beta * np.log(base))
-        out = params.b * salpham1 / denom
+        scale, denom = params.b, np.exp(params.beta * np.log(1.0 + (1.0 - a) * salpham1))
     else:  # caputo probe: bare numerator, no taming denominator
-        out = salpham1
+        scale, denom = 1.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scale * salpham1 / denom
+    if not np.all(np.isfinite(out)):
+        i = np.argmin(np.isfinite(out))
+        raise NumericalError("kernel value at s=%r is not finite (amplitude b=%g)"
+                             % (complex(arr.flat[i]), params.b))
     if np.isscalar(s) or arr.ndim == 0:
         return complex(out)
     return out
-
-
-def _check_denominator(denom: np.ndarray) -> None:
-    if np.any(np.abs(denom) < _DENOM_FLOOR):
-        raise NumericalError("kernel denominator vanished below 1e-300")
 
 
 def estimate_admissibility(

@@ -5,7 +5,10 @@ P1 stiffness matrix of the quadratic form, M the lumped weighted mass.
 The returned operator is A = M^{-1} S with spectrum in [0, inf); the
 symmetrized form A~ = M^{-1/2} S M^{-1/2} shares the spectrum and feeds
 the tridiagonal eigensolver.  Resolvent evaluation solves the banded
-system (z M - S) x = M b directly, which keeps complex z cheap.
+system (z M - S) x = M b directly, which keeps complex z cheap.  The
+operator answers the spectral questions of the evolution code: require_psd
+(one Sturm count) is the package's one PSD check, and spectrum and
+power_norms (the A^gamma norms) run it first.
 """
 
 from __future__ import annotations
@@ -15,19 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracresolvent.errors import ConfigurationError, SingularMatrixError
+from fracresolvent.errors import ConfigurationError, NumericalError, SingularMatrixError
 from fracresolvent.tridiag import (
     EigenDecomposition,
     TridiagonalMatrix,
+    eigenvalue_at,
     eigenvalues_below,
     eigh_tridiagonal,
     solve_tridiagonal,
 )
 
-KIMURA = "kimura"
-BESSEL = "bessel"
-DIAGONAL = "diagonal"
-
+# an eigenvalue of A~ below this is not roundoff: the pencil is refused as not PSD
+EIGENVALUE_CLAMP = -1e-10
 # spectrum of the pencil is real; "real" z means within this strip
 _AXIS_GUARD = 1e-12
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
@@ -40,7 +42,6 @@ _SECTOR_ANGLES = 9
 class DiscreteOperator:
     """Assembled pencil plus its lazily cached eigendecomposition."""
 
-    kind: str
     stiffness: TridiagonalMatrix
     lumped_mass: np.ndarray
 
@@ -70,6 +71,38 @@ class DiscreteOperator:
     def eigenvalues_below(self, bound: float) -> np.ndarray:
         """Eigenvalues of A~ below bound, ascending, as tridiag.eigenvalues_below; no vectors."""
         return eigenvalues_below(self._symmetrized(), bound)
+
+    def require_psd(self) -> None:
+        """Refuse the pencil when one Sturm count finds an eigenvalue below EIGENVALUE_CLAMP."""
+        lam = self.eigenvalues_below(EIGENVALUE_CLAMP)
+        if lam.size:
+            raise NumericalError("eigenvalue %g below the clamp threshold %g: operator is not "
+                                 "PSD" % (lam[0], EIGENVALUE_CLAMP))
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of A for A^gamma and mode values, roundoff negatives set to 0,
+        once require_psd has passed."""
+        self.require_psd()
+        return np.maximum(self.eigensystem().eigenvalues, 0.0)
+
+    def power_norms(self, gamma: float):
+        """||A^gamma u||_M of each row u, as a function set up once behind require_psd.
+        At gamma == 1/2, u^T S u is sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off, r = S 1:
+        on an assembled S each w >= 0 and r is 0 up to rounding but at a Dirichlet end, so
+        nothing cancels.  Other gamma > 0: ||lam^gamma Q^T M^(1/2) u||_2, Q being orthogonal."""
+        if gamma not in (0.0, 0.5):
+            power = self.spectrum() ** gamma
+            return lambda u: np.linalg.norm(power * self.spectral_coefficients(u), axis=-1)
+        self.require_psd()
+        if gamma == 0.0:
+            return self.weighted_norm
+        w, r = -self.stiffness.off, self.stiffness.matvec(np.ones(self.n))
+        def norms(states):
+            d = np.diff(states, axis=-1)
+            form = np.einsum("ij,j,ij->i", d, w, d) + np.einsum("ij,j,ij->i", states, r, states)
+            # S is PSD, so a negative form is roundoff: clamped like the spectrum
+            return np.sqrt(np.maximum(form, 0.0))
+        return norms
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         """Return x unchanged, or refuse it unless it has shape (n,)."""
@@ -149,7 +182,7 @@ def assemble_kimura(n: int) -> DiscreteOperator:
                         b[1:] * np.log1p(-y * y) + 2.0 * h * np.arctanh(y)))
     # 1/(x(1-x)) = 1/x + 1/(1-x), and the mesh maps onto itself under x -> 1 - x
     mass = (f + f[::-1]) / h
-    return DiscreteOperator(kind=KIMURA, stiffness=stiff, lumped_mass=mass)
+    return DiscreteOperator(stiffness=stiff, lumped_mass=mass)
 
 
 def assemble_bessel(nu: float, r_max: float, n: int) -> DiscreteOperator:
@@ -184,7 +217,7 @@ def assemble_bessel(nu: float, r_max: float, n: int) -> DiscreteOperator:
     rising = _gauss4(edges, lambda x, lo, hi: (x - lo) / h * weight(x))
     falling = _gauss4(edges, lambda x, lo, hi: (hi - x) / h * weight(x))
     mass = np.pad(rising[:-1], (1, 0)) + falling
-    return DiscreteOperator(kind=BESSEL, stiffness=stiff, lumped_mass=mass)
+    return DiscreteOperator(stiffness=stiff, lumped_mass=mass)
 
 
 def make_diagonal(eigenvalues) -> DiscreteOperator:
@@ -198,7 +231,7 @@ def make_diagonal(eigenvalues) -> DiscreteOperator:
             % float(lam.min())
         )
     stiff = TridiagonalMatrix(lam.copy(), np.zeros(lam.size - 1))
-    return DiscreteOperator(kind=DIAGONAL, stiffness=stiff, lumped_mass=np.ones(lam.size))
+    return DiscreteOperator(stiffness=stiff, lumped_mass=np.ones(lam.size))
 
 
 def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
@@ -239,13 +272,16 @@ def sectoriality_check(op: DiscreteOperator, theta: float) -> SectorialityReport
     [theta, pi] at the _SECTOR_RADII rho in [1, 1e6]; the conjugate ray
     gives identical distances to the real spectrum and is not re-sampled.
     The nearest eigenvalue to z is one of the two on either side of Re z
-    (np.searchsorted), so no (samples, n) distance matrix is formed.
+    (np.searchsorted), so no (samples, n) distance matrix is formed; as Re z < 0,
+    only the eigenvalues <= 0 and the lowest above them are bisected, not all n.
     The geometric bound is 1/sin(pi - theta); passed says the estimate is
-    finite and at or below it.
+    finite and at or below it.  A pencil that is not PSD is reported, not refused.
     """
     if not math.pi / 2.0 < theta < math.pi:
         raise ConfigurationError("theta must lie in (pi/2, pi), got %r" % theta)
-    lam = op.eigenvalues_below(math.inf)  # ascending, no eigenvectors: n^2 floats at large n
+    lam = op.eigenvalues_below(0.0)
+    if lam.size < op.n:
+        lam = np.append(lam, eigenvalue_at(op._symmetrized(), lam.size))
     zs = np.exp(1j * np.linspace(theta, math.pi, _SECTOR_ANGLES))[:, None] * _SECTOR_RADII
     right = np.minimum(np.searchsorted(lam, zs.real), lam.size - 1)
     dist = np.minimum(np.abs(zs - lam[right]), np.abs(zs - lam[np.maximum(right - 1, 0)]))

@@ -20,7 +20,6 @@ from fracresolvent.errors import (
 )
 
 RESIDUAL_TARGET = 1e-10
-EIGENVALUE_CLAMP = -1e-10
 _TINY_RHS = 2.0 ** -500  # a right-hand side normed below this is solved at unit size
 
 
@@ -126,9 +125,17 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
 def eigenvalues_below(m: TridiagonalMatrix, bound: float) -> np.ndarray:
     """Eigenvalues below bound, ascending, no vectors: all of them by LAPACK's default routine at
     bound = inf, else by bisection, which is one Sturm count (O(n)) when there are none."""
+    return _eigvalsh(m, select="a" if bound == np.inf else "v", select_range=(-np.inf, bound))
+
+
+def eigenvalue_at(m: TridiagonalMatrix, k: int) -> float:
+    """The eigenvalue of ascending index k alone, bisected to full precision."""
+    return float(_eigvalsh(m, select="i", select_range=(k, k), tol=2.0 * np.finfo(float).tiny)[0])
+
+
+def _eigvalsh(m: TridiagonalMatrix, **select) -> np.ndarray:
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float),
-            **({} if bound == np.inf else {"select": "v", "select_range": (-np.inf, bound)}))
+            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float), **select)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc

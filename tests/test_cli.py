@@ -205,6 +205,23 @@ def test_underflowing_initial_state_exits_2(tmp_path, capsys, monkeypatch, svg):
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "g.svg").exists()
 
 
+@pytest.mark.parametrize("text, err", (
+    ("kernel.B = 1e200\n", "the norm at t = 0.001 is inf"),
+    ("kernel.B = 1e300\nrun.gamma = 0.25\n", "the norm at t = 0.001 is inf"),
+    ("run.mode = admissibility\nkernel.B = 1e300\n", "kernel value at s="),
+), ids=("smoothing", "smoothing-quarter", "admissibility"))
+def test_overflowing_kernel_amplitude_exits_3(tmp_path, capsys, monkeypatch, text, err):
+    """A kernel.B the arithmetic overflows on is a numerical error, not a fault of run.u0
+    and not a verdict; no warning is raised (pytest makes RuntimeWarning an error) and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    smoothing = "operator.n = 10\nrun.t_count = 3\n" if "admissibility" not in text else ""
+    assert _run_config(tmp_path, smoothing + text) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: " + err) and captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("gamma", ("0.5", "0"))
 def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gamma):
     """A NaN in a run.u0 file is refused before the sweep, on both routes."""

@@ -290,7 +290,8 @@ def test_redirect_scalar_and_cut():
 
 
 def test_angle_condition_boundary():
-    for alpha in (0.2, 0.5, 0.8):
+    # at 0.835667030440112 the product (1 - alpha) min_theta(alpha) rounds below theta_A
+    for alpha in (0.2, 0.5, 0.8, 0.835667030440112):
         theta = min_theta(alpha)
         assert angle_condition(alpha, theta, math.pi / 8.0)
         assert not angle_condition(alpha, theta * 0.999, math.pi / 8.0)

@@ -20,12 +20,16 @@ from fracresolvent.contour import (
     invert_scalar,
     time_windows,
 )
-from fracresolvent.errors import ConfigurationError, EvaluationError, RefinementNeededError
+from fracresolvent.errors import (
+    ConfigurationError,
+    EvaluationError,
+    NumericalError,
+    RefinementNeededError,
+)
 from fracresolvent.evolution import (
     DEFAULT_CONV_SUBINTERVALS,
     LAPLACE_TOL,
     EvolutionConfig,
-    _clamped_spectrum,
     _inverse_apply,
     laplace_check,
     mild_solution,
@@ -42,6 +46,7 @@ from fracresolvent.operators import (
     make_diagonal,
     resolve,
 )
+from fracresolvent.tridiag import TridiagonalMatrix
 
 ABC_HALF = KernelParams(kind="abc", alpha=0.5)
 BASE_SPEC = default_contour_spec(0.5, 1e-8)
@@ -168,7 +173,7 @@ def test_smoothing_scalar_scaling():
 
 def spectral_smoothed(op, cfg, t, x):
     """A^gamma V(t) x with V(t) from the mode values: no shifted solve."""
-    lam = _clamped_spectrum(op)
+    lam = op.spectrum()
     quad = build_quadrature(cfg.contour, t, cfg.tol)
     return op.apply_spectral(lam**cfg.gamma * scalar_mode_values(quad, cfg.kernel, lam, t), x)
 
@@ -259,6 +264,36 @@ def test_configs_are_frozen():
         cfg.contour.theta = 2.0
     with pytest.raises(ConfigurationError, match="probe"):
         replace(cfg, kernel=probe)
+
+
+NOT_PSD = DiscreteOperator(stiffness=TridiagonalMatrix(np.array([-50.0, 0.3, 7.0]), np.zeros(2)),
+                           lumped_mass=np.ones(3))
+_PSD_ROUTES = {
+    "resolvent_apply": lambda cfg: resolvent_apply(NOT_PSD, cfg, 1.0, np.ones(3)),
+    "smoothed_apply": lambda cfg: smoothed_apply(NOT_PSD, cfg, 1.0, np.ones(3)),
+    "unforced_windows": lambda cfg: next(fracresolvent.evolution.unforced_windows(NOT_PSD, cfg)),
+    "mild_solution": lambda cfg: mild_solution(NOT_PSD, cfg),
+    "mild_solution_forced": lambda cfg: mild_solution(
+        NOT_PSD, replace(cfg, forcing=lambda tau: np.ones(3))),
+    "smoothed_norm": lambda cfg: smoothed_norm(NOT_PSD, cfg.gamma, np.ones(3)),
+    "laplace_check": lambda cfg: laplace_check(NOT_PSD, cfg, 1.0),
+}
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.5, 0.25))
+@pytest.mark.parametrize("route", sorted(_PSD_ROUTES))
+def test_every_route_refuses_a_pencil_that_is_not_psd(monkeypatch, route, gamma):
+    """The pencil with eigenvalues (-50, 0.3, 7) is refused by one Sturm count on every
+    route and at every gamma, 0 included, before any solve or eigendecomposition; unchecked,
+    resolvent_apply at t = 1 and gamma = 0 returns the decaying -50 mode (-0.0176)."""
+    def refuse(*args):
+        raise AssertionError("solved or decomposed a pencil that is not PSD")
+
+    monkeypatch.setattr(fracresolvent.evolution, "resolve", refuse)
+    monkeypatch.setattr(fracresolvent.operators, "eigh_tridiagonal", refuse)
+    cfg = cfg_with(gamma=gamma, u0=np.ones(3))
+    with pytest.raises(NumericalError, match=r"eigenvalue -50 below .* not PSD"):
+        _PSD_ROUTES[route](cfg)
 
 
 def test_unforced_windows_refuse_a_missing_u0():
@@ -417,7 +452,7 @@ def _exact_energy(op, u) -> Fraction:
 def _norm_of_one_state(op, gamma, u):
     """||A^gamma u||_M for one state through the eigenbasis."""
     if gamma > 0.0:
-        u = op.apply_spectral(_clamped_spectrum(op) ** gamma, u)
+        u = op.apply_spectral(op.spectrum() ** gamma, u)
     return op.weighted_norm(u)
 
 
@@ -431,7 +466,7 @@ def test_fractional_norm_needs_no_back_transform(monkeypatch, make, gamma):
     M-norm of the back-transformed A^gamma u."""
     op = make()
     u = np.random.default_rng(3).standard_normal(op.n)
-    want = op.weighted_norm(op.apply_spectral(_clamped_spectrum(op) ** gamma, u))
+    want = op.weighted_norm(op.apply_spectral(op.spectrum() ** gamma, u))
 
     def refuse(self, values, x):
         raise AssertionError("the norm back-transformed A^gamma u")

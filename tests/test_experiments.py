@@ -14,7 +14,6 @@ import fracresolvent.operators
 from fracresolvent.contour import DEFAULT_THETA, build_quadrature, min_theta, time_windows
 from fracresolvent.errors import ConfigurationError
 from fracresolvent.evolution import (
-    _clamped_spectrum,
     check_pairing,
     mild_solution,
     scalar_mode_values,
@@ -264,7 +263,7 @@ def _spectral_norms(cfg, windowed=True):
     op = build_operator(cfg)
     u0 = build_initial_state(cfg, op)
     evo = build_evolution_config(cfg, u0)
-    lam = _clamped_spectrum(op)
+    lam = op.spectrum()
     windows = (time_windows(evo.contour, evo.times, evo.tol) if windowed
                else [slice(i, i + 1) for i in range(evo.times.size)])
     norms = []

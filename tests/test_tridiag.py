@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from fracresolvent.errors import NumericalError, SingularMatrixError
-from fracresolvent.evolution import _clamped_spectrum, smoothed_norm
+from fracresolvent.evolution import smoothed_norm
 from fracresolvent.operators import DiscreteOperator
 from fracresolvent.tridiag import (
     TridiagonalMatrix,
@@ -151,12 +151,12 @@ def test_eigh_invariants_random():
 
 def _identity_mass(m: TridiagonalMatrix) -> DiscreteOperator:
     """Operator A = m: with M = I the pencil eigenbasis is m's own."""
-    return DiscreteOperator(kind="tridiagonal", stiffness=m, lumped_mass=np.ones(m.n))
+    return DiscreteOperator(stiffness=m, lumped_mass=np.ones(m.n))
 
 
 def _power(op: DiscreteOperator, gamma: float, x: np.ndarray) -> np.ndarray:
     """A^gamma x through the clamped spectrum, as the evolution code applies it."""
-    return op.apply_spectral(_clamped_spectrum(op) ** gamma, x)
+    return op.apply_spectral(op.spectrum() ** gamma, x)
 
 
 def _psd_op(rng, n):
@@ -210,10 +210,10 @@ def test_half_power_norm_rejects_negative_spectrum():
     with pytest.raises(NumericalError, match=r"eigenvalue -1e-09 below .* not PSD"):
         smoothed_norm(slightly_negative, 0.5, np.ones(3))
     with pytest.raises(NumericalError, match=r"eigenvalue -1e-09 below .* not PSD"):
-        _clamped_spectrum(slightly_negative)
+        slightly_negative.spectrum()
     # roundoff negatives above the clamp pass, and the spectrum clamps them to 0
     assert smoothed_norm(_single(4.0, -1e-12), 0.5, np.array([1.0, 0.0])) == 2.0
-    assert _clamped_spectrum(_single(4.0, -1e-12))[0] == 0.0
+    assert _single(4.0, -1e-12).spectrum()[0] == 0.0
 
 
 def test_eigenvalues_below_count_matches_full_solver():
