@@ -203,14 +203,6 @@ def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     return assemble_bessel(nu=cfg.nu, r_max=cfg.r_max, n=cfg.n)
 
 
-def _mesh_coordinate(cfg: ExperimentConfig, op: DiscreteOperator) -> tuple[np.ndarray, float]:
-    if cfg.operator_kind == KIMURA:
-        h = 1.0 / (op.n + 1)
-        return np.arange(1, op.n + 1) * h, 1.0
-    h = cfg.r_max / cfg.n
-    return np.arange(0, op.n) * h, cfg.r_max  # node 0 sits at r = 0 (natural condition)
-
-
 def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
     """The run.u0 profile on the mesh, refused when zero at every node (no decay to measure)."""
     u0 = _initial_profile(cfg, op)
@@ -221,7 +213,7 @@ def build_initial_state(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarr
 
 
 def _initial_profile(cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
-    xi, length = _mesh_coordinate(cfg, op)
+    xi, length = op.coordinates, op.length
     if cfg.u0_spec == "sin_pi_x":
         return np.sin(np.pi * xi / length)
     if cfg.u0_spec == "gaussian_bump":

@@ -7,8 +7,9 @@ symmetrized form A~ = M^{-1/2} S M^{-1/2} shares the spectrum and feeds
 the tridiagonal eigensolver.  Resolvent evaluation solves the banded
 system (z M - S) x = M b directly, which keeps complex z cheap.  The
 operator answers the spectral questions of the evolution code: require_psd
-(one Sturm count) is the package's one PSD check, and spectrum and
-power_norms (the A^gamma norms) run it first.
+(one Sturm count) is the package's one PSD check, and spectrum and power_norms
+(the A^gamma norms) run it first.  Partial spectra are one full-precision bisection,
+eigenvalues_in; eigensystem() is the one full spectrum.  Assembly sets the mesh.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fracresolvent.tridiag import (
     EigenDecomposition,
     TridiagonalMatrix,
     eigenvalue_at,
-    eigenvalues_below,
+    eigenvalues_in,
     eigh_tridiagonal,
     solve_tridiagonal,
 )
@@ -40,10 +41,13 @@ _SECTOR_ANGLES = 9
 
 @dataclass
 class DiscreteOperator:
-    """Assembled pencil plus its lazily cached eigendecomposition."""
+    """Assembled pencil, its lazily cached eigendecomposition and, from assembly, its mesh:
+    the coordinates of the unknowns on [0, length] (None on a synthetic operator)."""
 
     stiffness: TridiagonalMatrix
     lumped_mass: np.ndarray
+    coordinates: np.ndarray | None = None
+    length: float | None = None
 
     def __post_init__(self):
         self.lumped_mass = np.asarray(self.lumped_mass, dtype=np.float64)
@@ -68,13 +72,13 @@ class DiscreteOperator:
             self._eig = eigh_tridiagonal(self._symmetrized())
         return self._eig
 
-    def eigenvalues_below(self, bound: float) -> np.ndarray:
-        """Eigenvalues of A~ below bound, ascending, as tridiag.eigenvalues_below; no vectors."""
-        return eigenvalues_below(self._symmetrized(), bound)
+    def eigenvalues_in(self, lo: float, hi: float) -> np.ndarray:
+        """Eigenvalues of A~ in (lo, hi], ascending, as tridiag.eigenvalues_in; no vectors."""
+        return eigenvalues_in(self._symmetrized(), lo, hi)
 
     def require_psd(self) -> None:
         """Refuse the pencil when one Sturm count finds an eigenvalue below EIGENVALUE_CLAMP."""
-        lam = self.eigenvalues_below(EIGENVALUE_CLAMP)
+        lam = self.eigenvalues_in(-math.inf, EIGENVALUE_CLAMP)
         if lam.size:
             raise NumericalError("eigenvalue %g below the clamp threshold %g: operator is not "
                                  "PSD" % (lam[0], EIGENVALUE_CLAMP))
@@ -182,7 +186,7 @@ def assemble_kimura(n: int) -> DiscreteOperator:
                         b[1:] * np.log1p(-y * y) + 2.0 * h * np.arctanh(y)))
     # 1/(x(1-x)) = 1/x + 1/(1-x), and the mesh maps onto itself under x -> 1 - x
     mass = (f + f[::-1]) / h
-    return DiscreteOperator(stiffness=stiff, lumped_mass=mass)
+    return DiscreteOperator(stiff, mass, coordinates=edges[keep], length=edges[-1])
 
 
 def assemble_bessel(nu: float, r_max: float, n: int) -> DiscreteOperator:
@@ -217,7 +221,7 @@ def assemble_bessel(nu: float, r_max: float, n: int) -> DiscreteOperator:
     rising = _gauss4(edges, lambda x, lo, hi: (x - lo) / h * weight(x))
     falling = _gauss4(edges, lambda x, lo, hi: (hi - x) / h * weight(x))
     mass = np.pad(rising[:-1], (1, 0)) + falling
-    return DiscreteOperator(stiffness=stiff, lumped_mass=mass)
+    return DiscreteOperator(stiff, mass, coordinates=edges[keep], length=edges[-1])
 
 
 def make_diagonal(eigenvalues) -> DiscreteOperator:
@@ -237,17 +241,17 @@ def make_diagonal(eigenvalues) -> DiscreteOperator:
 def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
     """Resolvent application x = (z I - A)^{-1} b via (z M - S) x = M b.
 
-    z may be complex; z on (or within 1e-12 of) the spectrum is refused.
-    Only z hugging the nonnegative real axis can be near the spectrum,
-    so the eigenvalue distance check is skipped elsewhere.
+    z may be complex; z within 1e-12 of an eigenvalue is refused, on any pencil: near the
+    axis the eigenvalues in Re z +- 1e-12 are bisected, two Sturm counts if there are none.
     """
     z = complex(z)
     b = op.check_vector(np.asarray(b))
-    near_axis = (abs(z.imag) if z.real >= 0.0 else abs(z)) <= _AXIS_GUARD
-    # eigenvalues only: the eigenvectors are n^2 floats at large n
-    if near_axis and np.min(np.abs(z - op.eigenvalues_below(math.inf))) <= _AXIS_GUARD:
-        raise SingularMatrixError("spectral point z=%r lies within %g of an eigenvalue"
-                                  % (z, _AXIS_GUARD))
+    if abs(z.imag) <= _AXIS_GUARD:  # an ulp wider at each end, so rounding drops no eigenvalue
+        lam = op.eigenvalues_in(math.nextafter(z.real - _AXIS_GUARD, -math.inf),
+                                math.nextafter(z.real + _AXIS_GUARD, math.inf))
+        if np.any(np.abs(z - lam) <= _AXIS_GUARD):
+            raise SingularMatrixError("spectral point z=%r lies within %g of an eigenvalue"
+                                      % (z, _AXIS_GUARD))
     m, s = op.lumped_mass, op.stiffness
     return solve_tridiagonal(TridiagonalMatrix(z * m - s.diag, -s.off), m * b)
 
@@ -279,7 +283,7 @@ def sectoriality_check(op: DiscreteOperator, theta: float) -> SectorialityReport
     """
     if not math.pi / 2.0 < theta < math.pi:
         raise ConfigurationError("theta must lie in (pi/2, pi), got %r" % theta)
-    lam = op.eigenvalues_below(0.0)
+    lam = op.eigenvalues_in(-math.inf, 0.0)
     if lam.size < op.n:
         lam = np.append(lam, eigenvalue_at(op._symmetrized(), lam.size))
     zs = np.exp(1j * np.linspace(theta, math.pi, _SECTOR_ANGLES))[:, None] * _SECTOR_RADII

@@ -1,9 +1,10 @@
-"""Tridiagonal linear algebra: solves and symmetric eigendecompositions.
+"""Tridiagonal linear algebra: solves, symmetric eigendecompositions and bisection.
 
 All contour evaluations reduce to shifted tridiagonal solves (zM - S) or,
 on the spectral path, to scalar functions of the symmetrized eigenvalues,
 so this module is the numerical floor of the package.  Each matrix is
-symmetric by type: one off-diagonal band serves both sides.
+symmetric by type: one off-diagonal band serves both sides.  Partial spectra are
+bisected to full precision; eigh_tridiagonal's is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fracresolvent.errors import (
 )
 
 RESIDUAL_TARGET = 1e-10
-_TINY_RHS = 2.0 ** -500  # a right-hand side normed below this is solved at unit size
+_TINY_RHS, _HUGE_RHS = 2.0 ** -500, 2.0 ** 500  # a rhs normed outside is solved at unit size
 
 
 @dataclass
@@ -69,15 +70,16 @@ def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     by ||rhs|| alone would grow with the condition number even for a
     perfectly stable solve.)  An exactly zero pivot raises SingularMatrixError
     naming its row; an all-zero rhs returns zeros before LAPACK, even where
-    m is singular.  A nonzero rhs normed below 2^-500 is solved scaled by a
-    power of 2 to unit size, so no norm underflows, and scaled back exactly.
+    m is singular.  A nonzero rhs normed outside [2^-500, 2^500], or to inf, is solved
+    scaled by a power of 2 to unit size, so the gate's norms neither underflow nor
+    overflow, and scaled back exactly (to inf where x overflows).
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (m.n,):
         raise ValueError("rhs length %s does not match matrix order %d" % (rhs.shape, m.n))
     scale = np.linalg.norm(rhs)
     e = 0
-    if scale < _TINY_RHS:
+    if not _TINY_RHS <= scale <= _HUGE_RHS:
         if not np.any(rhs):
             return np.zeros(m.n, dtype=np.complex128)
         e = int(np.frexp(np.max(np.abs(rhs)))[1])
@@ -122,20 +124,21 @@ def eigh_tridiagonal(m: TridiagonalMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def eigenvalues_below(m: TridiagonalMatrix, bound: float) -> np.ndarray:
-    """Eigenvalues below bound, ascending, no vectors: all of them by LAPACK's default routine at
-    bound = inf, else by bisection, which is one Sturm count (O(n)) when there are none."""
-    return _eigvalsh(m, select="a" if bound == np.inf else "v", select_range=(-np.inf, bound))
+def eigenvalues_in(m: TridiagonalMatrix, lo: float, hi: float) -> np.ndarray:
+    """The eigenvalues in (lo, hi], ascending, no vectors, bisected to full precision:
+    one Sturm count at each end (O(n)) when there are none."""
+    return _eigvalsh(m, select="v", select_range=(lo, hi))
 
 
 def eigenvalue_at(m: TridiagonalMatrix, k: int) -> float:
     """The eigenvalue of ascending index k alone, bisected to full precision."""
-    return float(_eigvalsh(m, select="i", select_range=(k, k), tol=2.0 * np.finfo(float).tiny)[0])
+    return float(_eigvalsh(m, select="i", select_range=(k, k))[0])
 
 
 def _eigvalsh(m: TridiagonalMatrix, **select) -> np.ndarray:
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float), **select)
+            np.asarray(m.diag, dtype=float), np.asarray(m.off, dtype=float),
+            tol=2.0 * np.finfo(float).tiny, **select)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError("tridiagonal eigensolver did not converge: %s" % exc) from exc

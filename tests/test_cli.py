@@ -222,6 +222,30 @@ def test_overflowing_kernel_amplitude_exits_3(tmp_path, capsys, monkeypatch, tex
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("gamma", ("0", "0.5", "0.25"))
+def test_overflowing_initial_state_exits_3(tmp_path, capsys, monkeypatch, gamma):
+    """A run.u0 of 1e300 at every node overflows the states: exit 3 naming run.u0, where
+    the solve gate once read inf / inf as "backward error nan"; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.txt").write_text("1e300\n" * 50)
+    assert _run_config(tmp_path, "operator.n = 50\nrun.t_count = 3\nrun.gamma = %s\n"
+                       "run.u0 = huge.txt\n" % gamma) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: the norm at t = 0.001 is ")
+    assert "run.u0 'huge.txt'" in captured.err and "backward error" not in captured.err
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+
+def test_bound_violation_is_a_verdict(tmp_path, capsys, monkeypatch):
+    """A run above its anchored reference exits 0: it names the worst time and ratio and
+    writes the CSV."""
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, "operator.n = 60\nkernel.alpha = 0.5\nrun.gamma = 0.9\n"
+                       "run.t_count = 9\n") == 0
+    assert capsys.readouterr().out == "bound violated at t=0.1 (ratio 2.1809); wrote out.csv\n"
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 10
+
+
 @pytest.mark.parametrize("gamma", ("0.5", "0"))
 def test_non_finite_u0_file_is_a_config_error(tmp_path, capsys, monkeypatch, gamma):
     """A NaN in a run.u0 file is refused before the sweep, on both routes."""

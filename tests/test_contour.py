@@ -234,6 +234,12 @@ def test_default_spec_radii_track_alpha_and_tol():
         default_contour_spec(0.5, 2.0)
 
 
+def test_default_spec_refuses_an_alpha_no_angle_serves():
+    """At alpha = 0.9 the angle condition asks theta >= (pi / 8) / 0.1 > pi."""
+    with pytest.raises(ConfigurationError, match="no contour angle below pi satisfies"):
+        default_contour_spec(0.9)
+
+
 def test_radii_no_longer_shape_the_contour():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

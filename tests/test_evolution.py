@@ -709,6 +709,25 @@ def test_mild_forcing_failures_are_located():
         mild_solution(op, cfg_with(times=(1.0,)))  # u0 missing
 
 
+def test_raising_forcing_names_its_tau():
+    """A forcing that raises is an EvaluationError naming the tau it was asked at."""
+    def forcing(tau):
+        if tau >= 0.5:
+            raise ValueError("no data")
+        return np.ones(2)
+
+    cfg = cfg_with(times=(1.0,), u0=np.zeros(2), forcing=forcing)
+    with pytest.raises(EvaluationError, match=r"forcing evaluation failed at tau=0\.5: no data"):
+        mild_solution(make_diagonal([1.0, 2.0]), cfg, n_sub=4)
+
+
+@pytest.mark.parametrize("n_sub", (1, 2.5))
+def test_mild_solution_refuses_a_bad_n_sub(n_sub):
+    cfg = cfg_with(times=(1.0,), u0=np.ones(2), forcing=lambda tau: np.ones(2))
+    with pytest.raises(ConfigurationError, match="n_sub must be an integer >= 2, got %r" % n_sub):
+        mild_solution(make_diagonal([1.0, 2.0]), cfg, n_sub=n_sub)
+
+
 @pytest.mark.parametrize("bad, tau", ((np.nan, 0.5), (np.inf, 1.0)), ids=("nan", "inf"))
 def test_mild_non_finite_forcing_is_located(bad, tau):
     """A non-finite f from tau on (at tau = t alone for inf) is refused with tau and index."""
@@ -720,7 +739,9 @@ def test_mild_non_finite_forcing_is_located(bad, tau):
     assert (info.value.node, info.value.index) == (tau, 1)
 
 
-def test_laplace_identity_diagonal():
+def test_laplace_identity_diagonal(no_whole_spectrum):
+    """The identity holds at lam = 1 and 2; its real shift passes resolve's guard, which
+    bisects around it, with the whole spectrum refused."""
     op = make_diagonal([0.5, 1.0, 5.0])
     cfg = cfg_with()
     x = np.ones(3)
@@ -822,6 +843,14 @@ def test_laplace_check_refuses_a_sliver_that_is_not_an_integrable_power(monkeypa
                         lambda quad, kernel, lam, t: values(t))
     with pytest.raises(RefinementNeededError, match="not power laws"):
         laplace_check(make_diagonal([0.5, 1.0, 5.0]), cfg_with(), 1.0, x=np.ones(3))
+
+
+def test_laplace_check_refuses_a_coarse_time_grid(monkeypatch):
+    """One point a decade is too coarse: the coarse and fine integrals differ by more than
+    LAPLACE_TOL / 2, and the check refuses with the distance."""
+    monkeypatch.setattr(fracresolvent.evolution, "LAPLACE_POINTS_PER_DECADE", 1)
+    with pytest.raises(RefinementNeededError, match=r"moved the transform by 6\.667e-03"):
+        laplace_check(assemble_kimura(20), cfg_with(), 1.0, x=np.ones(20))
 
 
 def test_laplace_check_validation():

@@ -37,7 +37,7 @@ from fracresolvent.experiments import (
 )
 from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
 from fracresolvent.svg import render_decay_svg
-from fracresolvent.tridiag import eigenvalues_below
+from fracresolvent.tridiag import eigenvalues_in
 
 SWEEP_TEXT = """
 # homogeneous decay, small mesh for test speed
@@ -361,11 +361,12 @@ def test_sweep_holds_one_window_of_states(gamma):
     assert peak < 10e6
 
 
-def test_half_power_sweep_counts_sturm_once(monkeypatch):
-    """A gamma = 1/2 sweep of several windows checks the pencil for PSD once per run."""
+def test_half_power_sweep_counts_sturm_once(monkeypatch, no_whole_spectrum):
+    """A gamma = 1/2 sweep of several windows checks the pencil for PSD once per run,
+    and asks for no whole spectrum."""
     calls = []
-    counting = lambda m, bound: calls.append(bound) or eigenvalues_below(m, bound)
-    monkeypatch.setattr(fracresolvent.operators, "eigenvalues_below", counting)
+    counting = lambda m, lo, hi: calls.append(hi) or eigenvalues_in(m, lo, hi)
+    monkeypatch.setattr(fracresolvent.operators, "eigenvalues_in", counting)
     cfg = parse_config(SWEEP_TEXT)
     evo = build_evolution_config(cfg, np.ones(cfg.n))
     assert cfg.gamma == 0.5 and len(time_windows(evo.contour, evo.times, evo.tol)) > 1

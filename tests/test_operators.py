@@ -172,6 +172,17 @@ def test_resolve_tiny_rhs_does_not_underflow(c):
     assert np.max(np.abs(x - c * unit)) <= tol
 
 
+def test_resolve_huge_rhs_is_scaled_exactly():
+    """2^900 b is solved at unit size and scaled back: 2^900 times b's answer, bit for bit,
+    on both sides of the spectrum and on the axis."""
+    op = assemble_kimura(200)
+    b = np.sin(np.pi * op.coordinates)
+    for z in (-1.0 + 1.0j, 2.5 - 0.1j, -30.0):
+        with np.errstate(over="ignore"):  # the caller's, as in the sweep
+            huge = resolve(op, z, 2.0**900 * b)
+        assert np.array_equal(huge, 2.0**900 * resolve(op, z, b))
+
+
 def test_resolvent_first_identity():
     op = assemble_kimura(30)
     rng = np.random.default_rng(19)
@@ -215,7 +226,7 @@ def test_resolve_guard_reads_eigenvalues_only(monkeypatch):
     """The on-axis guard forms no eigenvectors (n^2 floats at large n): it still refuses z
     at an eigenvalue and solves z 1e-6 off the axis with eigh_tridiagonal refused."""
     op = assemble_kimura(48)
-    lam = op.eigenvalues_below(math.inf)
+    lam = op.eigenvalues_in(-math.inf, 1.5)
 
     def refuse(m):
         raise AssertionError("the spectral guard decomposed the operator")
@@ -224,6 +235,48 @@ def test_resolve_guard_reads_eigenvalues_only(monkeypatch):
     with pytest.raises(SingularMatrixError, match="lies within"):
         resolve(op, complex(lam[3]), np.ones(48))
     assert np.all(np.isfinite(resolve(op, complex(lam[3], 1e-6), np.ones(48))))
+
+
+@pytest.mark.parametrize("make", (assemble_kimura, lambda n: assemble_bessel(0.25, 20.0, n)),
+                         ids=("kimura", "bessel"))
+@pytest.mark.parametrize("n", (48, 1000, 20_000))
+def test_resolve_refuses_a_bisected_eigenvalue(no_whole_spectrum, make, n):
+    """The guard bisects only around Re z: it refuses an eigenvalue that eigenvalues_in
+    gives, with the whole spectrum refused, in under 0.1 s at n = 20,000."""
+    op = make(n)
+    lam = op.eigenvalues_in(-math.inf, 1.0)[2]
+    start = time.perf_counter()
+    with pytest.raises(SingularMatrixError, match="lies within"):
+        resolve(op, lam, np.ones(n))
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(SingularMatrixError, match="lies within"):
+        resolve(op, complex(lam + 5e-13, -5e-13), np.ones(n))
+
+
+@pytest.mark.parametrize("lam", (1e-3, 0.3, 123.456, 3e5))
+def test_resolve_guard_refuses_exactly_the_strip(lam):
+    """z is refused exactly when |z - lam| <= 1e-12, whatever rounding does to the ends
+    of Re z +- 1e-12, at 3e5 too, where 1e-12 is below half an ulp of Re z."""
+    op = make_diagonal([lam])
+    for d in np.linspace(-1.2e-12, 1.2e-12, 49):
+        for z in (lam + d, complex(lam, d)):
+            if abs(z - lam) <= 1e-12:
+                with pytest.raises(SingularMatrixError, match="lies within"):
+                    resolve(op, z, np.ones(1))
+            else:
+                assert np.isfinite(resolve(op, z, np.ones(1))[0])
+
+
+def test_assembled_operators_carry_their_mesh():
+    """The coordinates of the unknowns and the domain length: Kimura's interior nodes
+    j h, h = 1 / (n+1), on [0, 1], Bessel's j h, h = r_max / n, on [0, r_max] from the
+    origin node, bit for bit."""
+    kimura, bessel = assemble_kimura(5), assemble_bessel(0.25, 20.0, 10)
+    assert kimura.coordinates.tolist() == (np.arange(1, 6) * (1.0 / 6.0)).tolist()
+    assert kimura.length == 1.0
+    assert bessel.coordinates.tolist() == (np.arange(10) * 2.0).tolist()
+    assert bessel.length == 20.0
+    assert make_diagonal([1.0, 2.0]).coordinates is None
 
 
 def test_weighted_norm_of_complex_rows():
@@ -282,9 +335,18 @@ def _diagonal_pencil(*diag):
 NOT_PSD = _diagonal_pencil(-50.0, 0.3, 7.0)
 
 
+def test_resolve_guard_covers_every_pencil():
+    """z within 1e-12 of a negative eigenvalue is refused as any other: the (-50, 0.3, 7)
+    pencil once solved z = -50 + 1e-13 to a 1e13-size answer.  2e-12 off, it solves."""
+    for z in (-50.0 + 1e-13, complex(-50.0, 1e-13), 0.3, complex(7.0, -1e-12)):
+        with pytest.raises(SingularMatrixError, match="lies within"):
+            resolve(NOT_PSD, z, np.ones(3))
+    assert resolve(NOT_PSD, complex(-50.0, 2e-12), np.ones(3))[0] == pytest.approx(-5e11j)
+
+
 def _m_hat_by_distance_matrix(op, theta):
     """The estimate from every sample's distance to every eigenvalue."""
-    lam = op.eigenvalues_below(math.inf)
+    lam = op.eigensystem().eigenvalues
     zs = np.outer(np.exp(1j * np.linspace(theta, math.pi, fracresolvent.operators._SECTOR_ANGLES)),
                   fracresolvent.operators._SECTOR_RADII)
     ratio = np.abs(zs) / np.min(np.abs(zs[..., None] - lam), axis=-1)
@@ -328,22 +390,16 @@ def test_sectoriality_fails_above_bound():
     assert not report.passed
 
 
-def test_sectoriality_bisects_only_near_the_origin(monkeypatch):
+def test_sectoriality_bisects_only_near_the_origin(monkeypatch, no_whole_spectrum):
     """Every sample has Re z < 0, so the check bisects the eigenvalues <= 0 and the lowest
     one above them: at n = 20,000 it runs in under 0.5 s with the whole spectrum refused
     (eigvalsh_tridiagonal's default routine took 6 s there), and its estimate at 3 pi / 4
     is 0.9999999876629684 to 1e-14, the value that full spectrum gives."""
     op = assemble_kimura(20_000)
-    below = fracresolvent.operators.eigenvalues_below
-
-    def bounded_only(m, bound):
-        assert bound < math.inf, "sectoriality_check asked for the whole spectrum"
-        return below(m, bound)
 
     def refuse(m):
         raise AssertionError("sectoriality_check decomposed the operator")
 
-    monkeypatch.setattr(fracresolvent.operators, "eigenvalues_below", bounded_only)
     monkeypatch.setattr(fracresolvent.operators, "eigh_tridiagonal", refuse)
     start = time.perf_counter()
     report = sectoriality_check(op, 3.0 * math.pi / 4.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracresolvent.errors import NumericalError, SingularMatrixError
+from fracresolvent.errors import IllConditionedError, NumericalError, SingularMatrixError
 from fracresolvent.evolution import smoothed_norm
 from fracresolvent.operators import DiscreteOperator
 from fracresolvent.tridiag import (
@@ -52,17 +52,38 @@ def test_solve_matches_dense_oracle():
         assert residual <= 1e-10
 
 
+def _complex_system(n=30):
+    rng = np.random.default_rng(5)
+    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 4.0
+    m = TridiagonalMatrix(diag, rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    return m, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def test_solve_tiny_rhs_is_the_scaled_unit_solve():
     """A right-hand side below 2^-500 is solved at unit size and scaled back by a
     power of 2, so the answer is the unit solve's bits, scaled; zero stays zero."""
-    rng = np.random.default_rng(5)
-    n = 30
-    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 4.0
-    m = TridiagonalMatrix(diag, rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m, b = _complex_system()
     tiny = solve_tridiagonal(m, 2.0**-600 * b)
     assert np.array_equal(tiny, 2.0**-600 * solve_tridiagonal(m, b))
-    assert np.array_equal(solve_tridiagonal(m, np.zeros(n)), np.zeros(n))
+    assert np.array_equal(solve_tridiagonal(m, np.zeros(m.n)), np.zeros(m.n))
+
+
+@pytest.mark.parametrize("scale", (2.0**900, 2.0**1000), ids=("2^900", "norm-overflows"))
+def test_solve_huge_rhs_is_the_scaled_unit_solve(scale):
+    """A right-hand side above 2^500, or whose norm overflows, is solved at unit size
+    too, so the gate does not read inf / inf; the answer is the unit solve's bits, scaled."""
+    m, b = _complex_system()
+    with np.errstate(over="ignore"):  # the caller's: the norm of 2^1000 b overflows
+        huge = solve_tridiagonal(m, scale * b)
+    assert np.array_equal(huge, scale * solve_tridiagonal(m, b))
+
+
+def test_solve_gate_refuses_a_nan_diagonal():
+    """The backward-error gate is the solve's only IllConditionedError: a NaN diagonal
+    passes elimination (no zero pivot) and leaves a NaN backward error."""
+    m = TridiagonalMatrix(np.array([2.0, np.nan, 2.0]), np.full(2, 0.5))
+    with pytest.raises(IllConditionedError, match="backward error nan exceeds target 1.0e-10"):
+        solve_tridiagonal(m, np.ones(3))
 
 
 def test_solve_singular_pivot():
@@ -216,18 +237,21 @@ def test_half_power_norm_rejects_negative_spectrum():
     assert _single(4.0, -1e-12).spectrum()[0] == 0.0
 
 
-def test_eigenvalues_below_count_matches_full_solver():
-    """The Sturm count below each midpoint of the spectrum, and the values it bisects;
-    below inf, the whole spectrum by the default routine."""
+def test_eigenvalues_in_matches_full_solver():
+    """The eigenvalues in (lo, hi]: below each midpoint of the spectrum, and the one
+    between two neighbouring midpoints, bisected to the full solver's values; none in
+    an interval below the spectrum."""
     rng = np.random.default_rng(19)
     op = _psd_op(rng, 40)
     lam = op.eigensystem().eigenvalues
-    assert op.eigenvalues_below(0.5 * lam[0]).size == 0
-    assert np.allclose(op.eigenvalues_below(np.inf), lam, rtol=1e-12, atol=0.0)
-    for k, bound in enumerate(0.5 * (lam[:-1] + lam[1:]), start=1):
-        below = op.eigenvalues_below(bound)
+    mid = 0.5 * (lam[:-1] + lam[1:])
+    assert op.eigenvalues_in(-np.inf, 0.5 * lam[0]).size == 0
+    for k, bound in enumerate(mid, start=1):
+        below = op.eigenvalues_in(-np.inf, bound)
         assert below.size == k
         assert np.allclose(below, lam[:k], rtol=1e-12, atol=0.0)
+    for k in range(1, 39):
+        assert op.eigenvalues_in(mid[k - 1], mid[k]) == pytest.approx([lam[k]], rel=1e-12)
 
 
 def test_solve_spectral_consistency():
