@@ -1,10 +1,11 @@
 """Config-driven experiment runner: decay sweeps, diagnostic tables, file output.
 
 Configs are flat UTF-8 text, one `section.key = value` per line, with
-'#' comments.  Every key is listed in _KEY_TABLE below with the run modes
-that read it; any other key, or a key its run.mode does not read, is
-rejected with its line number.  ExperimentConfig refuses a run.mode,
-operator.kind or kernel.kind off its menu, from a file or built in code.
+'#' comments.  Every key is declared once, on its ExperimentConfig field, with
+its converter and the run modes that read it; any other key, or a key its
+run.mode does not read, is rejected with its line number.  A run.mode,
+operator.kind or kernel.kind off its menu is refused at its line in a file,
+and by ExperimentConfig when built in code.
 All numeric cross-field constraints are re-validated by the upstream
 dataclasses at build time.
 """
@@ -12,7 +13,7 @@ dataclasses at build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,7 @@ from fracresolvent.errors import ConfigurationError, NumericalError, OutputError
 from fracresolvent.evolution import EvolutionConfig, unforced_windows
 from fracresolvent.kernels import (
     ABC,
-    CAPUTO_PROBE,
-    W,
+    KINDS,
     KernelParams,
     _decade_slope,
     estimate_admissibility,
@@ -40,45 +40,58 @@ PROBE_RADII = np.logspace(-8.0, -2.0, 49)
 MODES = ("smoothing", "caputo", "admissibility")
 
 
+# the modes that read each key; a config setting a key its mode does not read is refused
+_SMOOTHING = ("smoothing",)
+_KERNEL = ("smoothing", "admissibility")
+# the fields whose values come from a menu, with the refusal of a value off it
+_MENUS = {
+    "mode": (MODES, "run.mode must be one of %s" % ", ".join(MODES)),
+    "operator_kind": ((KIMURA, BESSEL), "operator.kind must be kimura or bessel (diagonal "
+                      "operators are built in code, not from configs)"),
+    "kernel_kind": (KINDS, "kernel.kind must be abc or w, or caputo_probe in admissibility mode"),
+}
+
+
+def _key(default, key: str, conv, readers=MODES):
+    """A field read from the config line `key = value`: conv turns the value's text into
+    the field's value, and only the modes in readers read it."""
+    return field(default=default, metadata={"key": key, "conv": conv, "readers": readers})
+
+
+def _check_menu(attr: str, value, where: str = "") -> None:
+    menu, refusal = _MENUS[attr]
+    if value not in menu:
+        raise ConfigurationError("%s%s, got %r" % (where, refusal, value))
+
+
 @dataclass
 class ExperimentConfig:
-    mode: str = "smoothing"
-    operator_kind: str = KIMURA
-    n: int = 1000
-    nu: float = 0.25
-    r_max: float = 20.0
-    kernel_kind: str = ABC
-    alpha: float = 0.5
-    beta: float = 1.0
-    b: float = 1.0
-    theta: float | None = None
-    n_nodes: int = 128
-    tol: float = 1e-8
-    gamma: float = 0.0
-    t_min: float = 1e-3
-    t_max: float = 10.0
-    t_count: int = 33
-    u0_spec: str = "sin_pi_x"
-    bump_center: float | None = None
-    bump_width: float | None = None
-    lam: float = 0.0
-    csv_path: str = "out.csv"
-    svg_path: str | None = None
+    mode: str = _key("smoothing", "run.mode", str)
+    operator_kind: str = _key(KIMURA, "operator.kind", str, _SMOOTHING)
+    n: int = _key(1000, "operator.n", int, _SMOOTHING)
+    nu: float = _key(0.25, "operator.nu", float, _SMOOTHING)
+    r_max: float = _key(20.0, "operator.r_max", float, _SMOOTHING)
+    kernel_kind: str = _key(ABC, "kernel.kind", str, _KERNEL)
+    alpha: float = _key(0.5, "kernel.alpha", float)
+    beta: float = _key(1.0, "kernel.beta", float, _KERNEL)
+    b: float = _key(1.0, "kernel.B", float, _KERNEL)
+    theta: float | None = _key(None, "contour.theta", float)
+    n_nodes: int = _key(128, "contour.n_nodes", int, _SMOOTHING)
+    tol: float = _key(1e-8, "contour.tol", float, _SMOOTHING)
+    gamma: float = _key(0.0, "run.gamma", float, _SMOOTHING)
+    t_min: float = _key(1e-3, "run.t_min", float, _SMOOTHING)
+    t_max: float = _key(10.0, "run.t_max", float, _SMOOTHING)
+    t_count: int = _key(33, "run.t_count", int, _SMOOTHING)
+    u0_spec: str = _key("sin_pi_x", "run.u0", str, _SMOOTHING)
+    bump_center: float | None = _key(None, "run.bump_center", float, _SMOOTHING)
+    bump_width: float | None = _key(None, "run.bump_width", float, _SMOOTHING)
+    lam: float = _key(0.0, "run.lambda", float, ("caputo",))
+    csv_path: str = _key("out.csv", "output.csv", str)
+    svg_path: str | None = _key(None, "output.svg", str, _SMOOTHING)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError("run.mode must be one of %s, got %r"
-                                     % (", ".join(MODES), self.mode))
-        if self.operator_kind not in (KIMURA, BESSEL):
-            raise ConfigurationError(
-                "operator.kind must be kimura or bessel (diagonal operators are "
-                "built in code, not from configs), got %r" % self.operator_kind
-            )
-        if self.kernel_kind not in (ABC, W, CAPUTO_PROBE):
-            raise ConfigurationError(
-                "kernel.kind must be abc or w, or caputo_probe in admissibility mode, "
-                "got %r" % self.kernel_kind
-            )
+        for attr in _MENUS:
+            _check_menu(attr, getattr(self, attr))
         if self.t_count < 3:
             raise ConfigurationError("run.t_count must be >= 3, got %r" % self.t_count)
         if not 0.0 < self.t_min < self.t_max:
@@ -120,33 +133,9 @@ class DecayTable:
 
 # --- config parsing ---------------------------------------------------------
 
-# the modes that read each key; a config setting a key its mode does not read is refused
-_SMOOTHING = ("smoothing",)
-_KERNEL = ("smoothing", "admissibility")
-_KEY_TABLE = {
-    "run.mode": ("mode", str, MODES),
-    "operator.kind": ("operator_kind", str, _SMOOTHING),
-    "operator.n": ("n", int, _SMOOTHING),
-    "operator.nu": ("nu", float, _SMOOTHING),
-    "operator.r_max": ("r_max", float, _SMOOTHING),
-    "kernel.kind": ("kernel_kind", str, _KERNEL),
-    "kernel.alpha": ("alpha", float, MODES),
-    "kernel.beta": ("beta", float, _KERNEL),
-    "kernel.B": ("b", float, _KERNEL),
-    "contour.theta": ("theta", float, MODES),
-    "contour.n_nodes": ("n_nodes", int, _SMOOTHING),
-    "contour.tol": ("tol", float, _SMOOTHING),
-    "run.gamma": ("gamma", float, _SMOOTHING),
-    "run.t_min": ("t_min", float, _SMOOTHING),
-    "run.t_max": ("t_max", float, _SMOOTHING),
-    "run.t_count": ("t_count", int, _SMOOTHING),
-    "run.u0": ("u0_spec", str, _SMOOTHING),
-    "run.bump_center": ("bump_center", float, _SMOOTHING),
-    "run.bump_width": ("bump_width", float, _SMOOTHING),
-    "run.lambda": ("lam", float, ("caputo",)),
-    "output.csv": ("csv_path", str, MODES),
-    "output.svg": ("svg_path", str, _SMOOTHING),
-}
+# key -> (field, converter, the modes that read it), from the fields
+_KEY_TABLE = {f.metadata["key"]: (f.name, f.metadata["conv"], f.metadata["readers"])
+              for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -173,9 +162,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValueError("must be finite, got %r" % val)
         except ValueError as exc:
             raise ConfigurationError("line %d: bad value for %r: %s" % (lineno, key, exc))
-        if conv is str:  # ExperimentConfig refuses an off-menu mode or kind at its line
-            ExperimentConfig(**{attr: values[attr]})
-    mode = values.get("mode", "smoothing")
+        if attr in _MENUS:
+            _check_menu(attr, values[attr], "line %d: " % lineno)
+    mode = values.get("mode", ExperimentConfig.mode)
     for key, lineno in lines.items():
         readers = _KEY_TABLE[key][2]
         if mode not in readers:

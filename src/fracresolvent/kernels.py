@@ -24,7 +24,7 @@ from fracresolvent.errors import BranchCutError, ConfigurationError, NumericalEr
 ABC = "abc"
 W = "w"
 CAPUTO_PROBE = "caputo_probe"
-_KINDS = (ABC, W, CAPUTO_PROBE)
+KINDS = (ABC, W, CAPUTO_PROBE)
 # the contour's asymptotic angle unless a config or the redirection condition sets another
 DEFAULT_THETA = 3.0 * math.pi / 4.0
 
@@ -49,9 +49,9 @@ class KernelParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigurationError(
-                "unknown kernel kind %r (expected one of %s)" % (self.kind, ", ".join(_KINDS))
+                "unknown kernel kind %r (expected one of %s)" % (self.kind, ", ".join(KINDS))
             )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1), got %r" % self.alpha)

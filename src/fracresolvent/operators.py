@@ -31,7 +31,7 @@ from fracresolvent.tridiag import (
 
 # an eigenvalue of A~ below this is not roundoff: the pencil is refused as not PSD
 EIGENVALUE_CLAMP = -1e-10
-# spectrum of the pencil is real; "real" z means within this strip
+# spectrum of the pencil is real; "real" z means within this strip, relative above |z| = 1
 _AXIS_GUARD = 1e-12
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 # sectoriality_check's sample radii and number of rays
@@ -241,17 +241,19 @@ def make_diagonal(eigenvalues) -> DiscreteOperator:
 def resolve(op: DiscreteOperator, z: complex, b) -> np.ndarray:
     """Resolvent application x = (z I - A)^{-1} b via (z M - S) x = M b.
 
-    z may be complex; z within 1e-12 of an eigenvalue is refused, on any pencil: near the
-    axis the eigenvalues in Re z +- 1e-12 are bisected, two Sturm counts if there are none.
+    z may be complex; z within w = 1e-12 max(1, |z|) of an eigenvalue is refused, on any
+    pencil: near the axis the eigenvalues in Re z +- 2w are bisected, two Sturm counts if
+    there are none, so no rounding of the window's ends drops one within w.  The strip is
+    relative because an eigenvalue above 1 is known only to a few ulps of its size.
     """
     z = complex(z)
     b = op.check_vector(np.asarray(b))
-    if abs(z.imag) <= _AXIS_GUARD:  # an ulp wider at each end, so rounding drops no eigenvalue
-        lam = op.eigenvalues_in(math.nextafter(z.real - _AXIS_GUARD, -math.inf),
-                                math.nextafter(z.real + _AXIS_GUARD, math.inf))
-        if np.any(np.abs(z - lam) <= _AXIS_GUARD):
+    strip = _AXIS_GUARD * max(1.0, abs(z))
+    if abs(z.imag) <= strip:
+        lam = op.eigenvalues_in(z.real - 2.0 * strip, z.real + 2.0 * strip)
+        if np.any(np.abs(z - lam) <= strip):
             raise SingularMatrixError("spectral point z=%r lies within %g of an eigenvalue"
-                                      % (z, _AXIS_GUARD))
+                                      % (z, strip))
     m, s = op.lumped_mass, op.stiffness
     return solve_tridiagonal(TridiagonalMatrix(z * m - s.diag, -s.off), m * b)
 

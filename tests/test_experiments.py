@@ -1,5 +1,6 @@
 """Config parsing, decay sweeps, probe tables, CSV/SVG emission."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -36,7 +37,7 @@ from fracresolvent.experiments import (
     smoothing_sweep,
 )
 from fracresolvent.kernels import KernelParams, estimate_admissibility, eval_kernel
-from fracresolvent.svg import render_decay_svg
+from fracresolvent.svg import _log_range, render_decay_svg
 from fracresolvent.tridiag import eigenvalues_in
 
 SWEEP_TEXT = """
@@ -142,6 +143,37 @@ def test_parse_rejects_off_menu_values():
     # an off-menu value is refused at its line, before a later line's fault
     with pytest.raises(ConfigurationError, match="kimura or bessel"):
         parse_config("operator.kind = heat\nfoo.bar = 1\n")
+
+
+@pytest.mark.parametrize("key, value, refusal", (
+    ("run.mode", "decay", "run.mode must be one of smoothing, caputo, admissibility"),
+    ("operator.kind", "heat", "operator.kind must be kimura or bessel (diagonal operators are "
+                              "built in code, not from configs)"),
+    ("kernel.kind", "mittag", "kernel.kind must be abc or w, or caputo_probe in admissibility "
+                              "mode"),
+))
+def test_off_menu_value_names_its_line(monkeypatch, key, value, refusal):
+    """The parser refuses an off-menu value with its line number and the text a config
+    built in code gets, and builds no config but its result."""
+    with pytest.raises(ConfigurationError) as parsed:
+        parse_config("kernel.alpha = 0.5\n# a comment\n%s = %s\n" % (key, value))
+    assert str(parsed.value) == "line 3: %s, got %r" % (refusal, value)
+    with pytest.raises(ConfigurationError) as built:
+        ExperimentConfig(**{_KEY_TABLE[key][0]: value})
+    assert str(built.value) == "%s, got %r" % (refusal, value)
+    made = []
+    check = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda cfg: made.append(check(cfg)))
+    parse_config("run.mode = smoothing\noperator.kind = bessel\nkernel.kind = w\n")
+    assert len(made) == 1
+
+
+def test_key_table_is_the_fields():
+    """Each field carries its key, its converter and its readers; the table is read off them."""
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    assert [attr for attr, _, _ in _KEY_TABLE.values()] == list(fields)
+    for key, (attr, conv, readers) in _KEY_TABLE.items():
+        assert fields[attr].metadata == {"key": key, "conv": conv, "readers": readers}
 
 
 def test_config_field_validation():
@@ -558,3 +590,19 @@ def test_svg_needs_positive_data():
     )
     with pytest.raises(ValueError, match="positive"):
         render_decay_svg(table)
+    with pytest.raises(ValueError, match="nothing positive to plot"):
+        _log_range([np.array([0.0, 3.0, np.inf])])
+
+
+def test_svg_flat_range_and_sparse_series():
+    """A flat range is widened half a decade each way before the 4% pad; a series with
+    fewer than 2 positive points draws no polyline but keeps its legend entry."""
+    assert _log_range([np.full(3, 10.0)]) == pytest.approx((0.46, 1.54), rel=1e-15)
+    t = np.array([1.0, 2.0, 4.0])
+    table = DecayTable(times=t, norms=np.array([1.0, 0.0, 0.0]),
+                       bound_alpha_gamma=np.ones(3), bound_gamma=np.ones(3),
+                       local_exponent=np.full(3, np.nan))
+    svg = render_decay_svg(table)
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline ")]
+    assert len(polylines) == 2 and not any("#1f77b4" in line for line in polylines)
+    assert ">norm</text>" in svg

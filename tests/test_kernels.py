@@ -119,6 +119,21 @@ def test_admissibility_samples_one_ray(monkeypatch):
     assert report.c0_hat == np.max(report.abs_k[report.radii <= 1.0])
 
 
+@pytest.mark.parametrize("kind", ("abc", "w"))
+@pytest.mark.parametrize("power, worst", ((-1.0, 1e-20), (0.5, 1e8)))
+def test_growing_envelope_is_not_admissible(monkeypatch, kind, power, worst):
+    """A production kind whose envelope ratio grows at a grid end is refused, worst at that
+    end.  No valid KernelParams grows there (abc's ratios tend to constants, w's to 0 at
+    small |s| and to B at large), so |K| = |s|^power stands in for the kernel: at
+    alpha = 1/2, |s|^-1 grows at the small end and |s|^(1/2) at the large end."""
+    monkeypatch.setattr(fracresolvent.kernels, "eval_kernel",
+                        lambda params, s: np.abs(s) ** power + 0j)
+    report = estimate_admissibility(KernelParams(kind=kind, alpha=0.5))
+    assert not report.passed
+    assert report.message == "not admissible: envelope ratio grows at a grid extreme"
+    assert abs(report.worst_s) == pytest.approx(worst, rel=1e-12)
+
+
 def test_admissibility_argument_validation():
     params = KernelParams(kind="abc", alpha=0.5)
     with pytest.raises(ConfigurationError):

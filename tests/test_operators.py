@@ -255,16 +255,29 @@ def test_resolve_refuses_a_bisected_eigenvalue(no_whole_spectrum, make, n):
 
 @pytest.mark.parametrize("lam", (1e-3, 0.3, 123.456, 3e5))
 def test_resolve_guard_refuses_exactly_the_strip(lam):
-    """z is refused exactly when |z - lam| <= 1e-12, whatever rounding does to the ends
-    of Re z +- 1e-12, at 3e5 too, where 1e-12 is below half an ulp of Re z."""
+    """z is refused exactly when |z - lam| <= 1e-12 max(1, |z|), whatever rounding does
+    to the ends of the bisected window: the strip is absolute below |z| = 1, relative
+    above it (1.23e-10 at 123.456, 3e-7 at 3e5, where 1e-12 is below half an ulp)."""
     op = make_diagonal([lam])
-    for d in np.linspace(-1.2e-12, 1.2e-12, 49):
+    for d in np.linspace(-1.2e-12, 1.2e-12, 49) * max(1.0, lam):
         for z in (lam + d, complex(lam, d)):
-            if abs(z - lam) <= 1e-12:
+            if abs(z - lam) <= 1e-12 * max(1.0, abs(z)):
                 with pytest.raises(SingularMatrixError, match="lies within"):
                     resolve(op, z, np.ones(1))
             else:
                 assert np.isfinite(resolve(op, z, np.ones(1))[0])
+
+
+def test_construction_refusals():
+    """A pencil with a non-positive lumped mass, and a diagonal operator from an empty
+    or a 2-d sequence, are refused."""
+    stiff = TridiagonalMatrix(np.ones(2), np.zeros(1))
+    for mass in ([1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(ConfigurationError, match="lumped mass must be strictly positive"):
+            DiscreteOperator(stiff, np.array(mass))
+    for lam in ([], [[1.0, 2.0]]):
+        with pytest.raises(ConfigurationError, match="nonempty 1-d sequence"):
+            make_diagonal(lam)
 
 
 def test_assembled_operators_carry_their_mesh():
@@ -336,12 +349,27 @@ NOT_PSD = _diagonal_pencil(-50.0, 0.3, 7.0)
 
 
 def test_resolve_guard_covers_every_pencil():
-    """z within 1e-12 of a negative eigenvalue is refused as any other: the (-50, 0.3, 7)
-    pencil once solved z = -50 + 1e-13 to a 1e13-size answer.  2e-12 off, it solves."""
-    for z in (-50.0 + 1e-13, complex(-50.0, 1e-13), 0.3, complex(7.0, -1e-12)):
+    """z within the strip (5e-11 at |z| = 50) of a negative eigenvalue is refused as any
+    other: the (-50, 0.3, 7) pencil once solved z = -50 + 1e-13 to a 1e13-size answer.
+    Twice the strip (1e-10) off, it solves."""
+    for z in (-50.0 + 1e-13, complex(-50.0, 1e-13), complex(-50.0, 4e-11), 0.3,
+              complex(7.0, -1e-12)):
         with pytest.raises(SingularMatrixError, match="lies within"):
             resolve(NOT_PSD, z, np.ones(3))
-    assert resolve(NOT_PSD, complex(-50.0, 2e-12), np.ones(3))[0] == pytest.approx(-5e11j)
+    assert resolve(NOT_PSD, complex(-50.0, 1e-10), np.ones(3))[0] == pytest.approx(-1e10j)
+
+
+@pytest.mark.parametrize("make", (assemble_kimura, lambda n: assemble_bessel(0.25, 20.0, n)),
+                         ids=("kimura", "bessel"))
+def test_resolve_refuses_every_eigenvalue(make):
+    """Each of the 1,000 eigenvalues eigenvalues_in gives is refused, the largest too: an
+    eigenvalue above 1 is known to a few ulps of its size, so an absolute 1e-12 strip let
+    the Kimura ones above about 8.2e3 through to a huge finite answer."""
+    op = make(1000)
+    b = np.ones(1000)
+    for lam in op.eigenvalues_in(-1.0, math.inf):
+        with pytest.raises(SingularMatrixError, match="lies within"):
+            resolve(op, lam, b)
 
 
 def _m_hat_by_distance_matrix(op, theta):

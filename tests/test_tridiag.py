@@ -9,6 +9,7 @@ from fracresolvent.evolution import smoothed_norm
 from fracresolvent.operators import DiscreteOperator
 from fracresolvent.tridiag import (
     TridiagonalMatrix,
+    eigenvalues_in,
     eigh_tridiagonal,
     solve_tridiagonal,
 )
@@ -268,3 +269,30 @@ def test_solve_spectral_consistency():
     x = solve_tridiagonal(shifted, b)
     spectral = eig.eigenvectors @ ((eig.eigenvectors.T @ b) / (z - eig.eigenvalues))
     assert np.max(np.abs(x - spectral)) <= 1e-8
+
+
+def test_shape_and_type_refusals():
+    """An empty matrix, an off band of the wrong length, a rhs of the wrong length and a
+    complex matrix handed to the real eigensolver are each refused by name."""
+    with pytest.raises(ValueError, match="empty matrix"):
+        TridiagonalMatrix(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match=r"off has shape \(3,\), diag length 3"):
+        TridiagonalMatrix(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"rhs length \(2,\) does not match matrix order 3"):
+        solve_tridiagonal(TridiagonalMatrix(np.ones(3), np.zeros(2)), np.ones(2))
+    with pytest.raises(ValueError, match="requires a real symmetric matrix"):
+        eigh_tridiagonal(TridiagonalMatrix(np.ones(3) + 1j, np.zeros(2)))
+
+
+@pytest.mark.parametrize("name, call", (
+    ("eigh_tridiagonal", eigh_tridiagonal),
+    ("eigvalsh_tridiagonal", lambda m: eigenvalues_in(m, 0.0, 2.0)),
+))
+def test_lapack_failure_is_a_numerical_error(monkeypatch, name, call):
+    """LAPACK's LinAlgError leaves the module as NumericalError, with its text."""
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, name, fail)
+    with pytest.raises(NumericalError, match="did not converge: no convergence"):
+        call(TridiagonalMatrix(np.ones(3), np.zeros(2)))
