@@ -14,10 +14,11 @@ dynamics is u' (fractional) + A u = f, so every evaluation solves
 because every node has |arg s| < theta < pi, so s^(alpha-1) stays off the
 negative real axis whatever the angle condition's lower bound.
 
-The vector work is whole-array in bounded memory: a window's node solves are
-added into the rows of all of its times in place, by two real matrix products per
-512 KiB chunk of them, and normed before the next window is solved; a forced time's
-lags share one kernel evaluation and one such pass over all of its (lag, node) solves.
+Every product is one inversion, _invert, of rows 2 Re sum_j w_j e^(s_j t) K(s_j)
+s_j^(-p) (s_j^(alpha-1) I + A)^(-1) b_j, with two backends: banded solves of the pencil
+for V(t), and division by s^(alpha-1) + lambda on the eigenvalues for scalar_mode_values.
+Its node solves are added into the rows of all of a window's times in place, two real
+matrix products per 512 KiB chunk, and a forced time's lags are one such inversion.
 Spectral questions go to the operator: every route runs op.require_psd before its first
 solve, at any gamma, and A^gamma takes op.spectrum() and its norms op.power_norms(gamma).
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,11 +43,7 @@ from fracresolvent.contour import (
     min_theta,
     time_windows,
 )
-from fracresolvent.errors import (
-    ConfigurationError,
-    EvaluationError,
-    RefinementNeededError,
-)
+from fracresolvent.errors import ConfigurationError, EvaluationError, RefinementNeededError
 from fracresolvent.kernels import CAPUTO_PROBE, KernelParams, eval_kernel, redirect
 from fracresolvent.operators import DiscreteOperator, resolve
 
@@ -54,7 +52,7 @@ LAPLACE_T_MIN = 1e-10
 LAPLACE_TAIL_FACTOR = 40.0
 LAPLACE_TOL = 1e-3
 LAPLACE_POINTS_PER_DECADE = 48
-_CHUNK_BYTES = 2**19  # node solves held at once by _node_solves, at least 8 rows
+_CHUNK_BYTES = 2**19  # node solves held at once by _invert, at least 8 rows
 
 
 def _check_gamma(gamma: float) -> None:
@@ -135,21 +133,14 @@ def scalar_mode_values(quad: ContourQuadrature, kernel: KernelParams, lam: np.nd
                        t) -> np.ndarray:
     """v(lambda, t) for every eigenvalue at once, at a time t or one row per time of a column t.
 
-    v is the scalar inversion of K(s) / (s^(alpha-1) + lambda); the
-    denominator stays away from zero for lambda >= 0 because every node
-    has |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.  The node
-    sum is one product of the factors with the matrix 1 / (s^(alpha-1) + lambda).
+    v is the scalar inversion of K(s) / (s^(alpha-1) + lambda), _invert's spectral backend:
+    the denominator stays away from zero for lambda >= 0 because every node has
+    |arg s| < theta < pi, so |arg s^(alpha-1)| < (1 - alpha) pi.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    s, factor = _node_factors(quad, kernel, t)
-    return 2.0 * np.real(factor @ (1.0 / (redirect(s, kernel.alpha)[:, None] + lam)))
-
-
-def _node_factors(quad: ContourQuadrature, kernel: KernelParams, t):
-    """The nodes s, scaled by the window's t0, and the factors w e^(st) K(s)
-    every inversion shares: one row of them per time of a column t."""
-    s = quad.nodes
-    return s, quad.weights * np.exp(s * t) * eval_kernel(kernel, s)
+    lam, s = np.asarray(lam, dtype=np.float64), quad.nodes
+    v = _invert(lambda z, b: b / (z - lam), lam.size, kernel, s, quad.weights * np.exp(s * t),
+                [np.ones(lam.size)] * s.size)
+    return v if np.ndim(t) else v[0]
 
 
 def resolvent_apply(op: DiscreteOperator, cfg: EvolutionConfig, t: float, x) -> np.ndarray:
@@ -164,21 +155,30 @@ def _inverse_apply(op: DiscreteOperator, cfg: EvolutionConfig, times, x) -> np.n
     window of times; the window's times share each node's solve."""
     times = np.asarray(times, dtype=np.float64)
     quad = build_quadrature(cfg.contour, times, cfg.tol)
-    s, factor = _node_factors(quad, cfg.kernel, times[:, None])
-    return _node_solves(op, redirect(s, cfg.kernel.alpha), factor, [x] * s.size)
+    s = quad.nodes
+    return _invert(partial(resolve, op), op.n, cfg.kernel, s,
+                   quad.weights * np.exp(s * times[:, None]), [x] * s.size)
 
 
-def _node_solves(op: DiscreteOperator, z: np.ndarray, factor: np.ndarray, b) -> np.ndarray:
-    """2 Re(F Y), F[t, j] = w_j e^(s_j t) K(s_j), row j of Y the solve (z_j I + A)^(-1) b[j]
-    for a right-hand side b[j] per node, in chunks of max(8, _CHUNK_BYTES // (16 n)) rows, each
-    added as -2 Re F Re Y + 2 Im F Im Y into the (T, n) rows in place (dgemm, beta = 1)."""
-    rows = max(8, _CHUNK_BYTES // (16 * op.n))
-    ys = np.empty((min(rows, z.size), op.n), dtype=np.complex128)
-    out = np.zeros((factor.shape[0], op.n))
+def _invert(solve, n: int, kernel: KernelParams, s, wexp, b, squared=None) -> np.ndarray:
+    """The one inversion: rows 2 Re sum_j F_j (z_j I + A)^(-1) b[j], z = s^(alpha-1) and
+    F = wexp K(s), wexp = w e^(s t).  A window's s is (M,) and wexp (T, M), a row per time;
+    a forced time's are (n_sub, M), lag by lag, summed into one row, with F / s^2 on
+    s[squared], the lags after lag 0.  solve(z, b) = (z I - A)^(-1) b of width n is the
+    backend: partial(resolve, op) solves the banded pencil, b / (z - lam) is the spectral one
+    on the eigenvalues lam.  Y_j = solve(-z_j, b[j]) is taken max(8, _CHUNK_BYTES // (16 n))
+    rows at a time, each chunk added as -2 Re F Re Y + 2 Im F Im Y into the (T, n) rows in
+    place (dgemm, beta = 1)."""
+    factor = wexp * eval_kernel(kernel, s)
+    if squared is not None:
+        factor[squared] /= s[squared] ** 2
+    z, factor = redirect(s, kernel.alpha).ravel(), factor.reshape(-1, np.size(s))
+    rows = max(8, _CHUNK_BYTES // (16 * n))
+    ys = np.empty((min(rows, z.size), n), dtype=np.complex128)
+    out = np.zeros((factor.shape[0], n))
     for lo in range(0, z.size, rows):
         for j, (zj, bj) in enumerate(zip(z[lo:lo + rows], b[lo:lo + rows])):
-            # (zj I + A)^{-1} b  ==  -(( -zj) I - A)^{-1} b
-            ys[j] = resolve(op, -zj, bj)
+            ys[j] = solve(-zj, bj)
         for y, f, scale in ((ys.real, factor.real, -2.0), (ys.imag, factor.imag, 2.0)):
             dgemm(scale, y[:j + 1].T, f[:, lo:lo + j + 1].T, 1.0, out.T, overwrite_c=True)
     return out
@@ -231,9 +231,9 @@ def mild_solution(
     the stiff modes' fast transients are integrated through the transform,
     and every lag is at least t / n_sub.  Every lag r runs the one unit-time
     rule of the call scaled by 1 / r, so e^(s r) is e^(unit node), and per
-    output time the kernel is evaluated once and all n_sub M (lag, node)
-    solves are one _node_solves pass, in its bounded chunks.  Unforced, it
-    stores the rows and norms that unforced_windows gives window by window.
+    output time all n_sub M (lag, node) solves are one _invert, in its bounded
+    chunks, with one kernel evaluation.  Unforced, it stores the rows and
+    norms that unforced_windows gives window by window.
     """
     if cfg.u0 is None:
         raise ConfigurationError("mild_solution requires u0 in the configuration")
@@ -255,12 +255,11 @@ def mild_solution(
             jumps = np.diff(np.diff(f, axis=0) / h, axis=0, prepend=0.0)
             lags = (t - np.arange(n_sub) * h)[:, None]
             s = unit.nodes / lags  # row j: the nodes of lag t - j h
-            factor = unit.weights / lags * np.exp(unit.nodes) * eval_kernel(cfg.kernel, s)
-            factor[1:] /= s[1:] ** 2  # lag j > 0 solves its real jump row; 1/s^2 rides here
             c = s[0, :, None]
             b = [*(u0 + f[0] / c + jumps[0] / c**2)] + [row for row in jumps[1:] for _ in c]
-            z = redirect(s, cfg.kernel.alpha).ravel()  # lag by lag, as b and factor's row
-            states[it] = _node_solves(op, z, factor.reshape(1, -1), b)[0]
+            # lag j > 0 solves its real jump row, and its 1/s^2 rides in the factor
+            states[it] = _invert(partial(resolve, op), op.n, cfg.kernel, s,
+                                 unit.weights / lags * np.exp(unit.nodes), b, np.s_[1:])[0]
         norms[:] = norm_rows(states)
     return EvolutionResult(states=states, smoothed_norms=norms)
 

@@ -93,20 +93,22 @@ class DiscreteOperator:
         """||A^gamma u||_M of each row u, as a function set up once behind require_psd.
         At gamma == 1/2, u^T S u is sum w (u_i - u_(i+1))^2 + sum r u_i^2, w = -off, r = S 1:
         on an assembled S each w >= 0 and r is 0 up to rounding but at a Dirichlet end, so
-        nothing cancels.  Other gamma > 0: ||lam^gamma Q^T M^(1/2) u||_2, Q being orthogonal."""
+        nothing cancels.  Other gamma > 0: ||lam^gamma Q^T M^(1/2) u||_2, Q being orthogonal.
+        Each form is _rescaled, so a finite row has a finite norm at any size."""
         if gamma not in (0.0, 0.5):
             power = self.spectrum() ** gamma
-            return lambda u: np.linalg.norm(power * self.spectral_coefficients(u), axis=-1)
+            return _rescaled(lambda u: np.linalg.norm(power * self.spectral_coefficients(u),
+                                                      axis=-1))
         self.require_psd()
         if gamma == 0.0:
-            return self.weighted_norm
+            return _rescaled(self.weighted_norm)
         w, r = -self.stiffness.off, self.stiffness.matvec(np.ones(self.n))
         def norms(states):
             d = np.diff(states, axis=-1)
             form = np.einsum("ij,j,ij->i", d, w, d) + np.einsum("ij,j,ij->i", states, r, states)
             # S is PSD, so a negative form is roundoff: clamped like the spectrum
             return np.sqrt(np.maximum(form, 0.0))
-        return norms
+        return _rescaled(norms)
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         """Return x unchanged, or refuse it unless it has shape (n,)."""
@@ -136,6 +138,21 @@ class DiscreteOperator:
         """
         coeff = values * self.spectral_coefficients(x)
         return (coeff @ self.eigensystem().eigenvectors.T) / self.sqrt_mass
+
+
+def _rescaled(norms):
+    """norms of a 2-d array's rows; a finite row whose norm overflows to inf or nan is normed
+    again at unit size, scaled by 2^-e as in solve_tridiagonal.  Finite norms keep their bits."""
+    def rescaled(states):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = norms(states)
+            redo = ~np.isfinite(out)
+            if np.any(redo):
+                redo &= np.all(np.isfinite(states), axis=-1)
+                e = np.frexp(np.max(np.abs(states[redo]), axis=-1))[1]
+                out[redo] = np.ldexp(norms(np.ldexp(states[redo], -e[:, None])), e)
+        return out
+    return rescaled
 
 
 def _gauss4(edges: np.ndarray, integrand) -> np.ndarray:

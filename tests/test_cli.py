@@ -206,30 +206,58 @@ def test_underflowing_initial_state_exits_2(tmp_path, capsys, monkeypatch, svg):
 
 
 @pytest.mark.parametrize("text, err", (
-    ("kernel.B = 1e200\n", "the norm at t = 0.001 is inf"),
-    ("kernel.B = 1e300\nrun.gamma = 0.25\n", "the norm at t = 0.001 is inf"),
     ("run.mode = admissibility\nkernel.B = 1e300\n", "kernel value at s="),
-), ids=("smoothing", "smoothing-quarter", "admissibility"))
+), ids=("admissibility",))
 def test_overflowing_kernel_amplitude_exits_3(tmp_path, capsys, monkeypatch, text, err):
     """A kernel.B the arithmetic overflows on is a numerical error, not a fault of run.u0
     and not a verdict; no warning is raised (pytest makes RuntimeWarning an error) and
     nothing is written."""
     monkeypatch.chdir(tmp_path)
-    smoothing = "operator.n = 10\nrun.t_count = 3\n" if "admissibility" not in text else ""
-    assert _run_config(tmp_path, smoothing + text) == 3
+    assert _run_config(tmp_path, text) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical error: " + err) and captured.out == ""
     assert not (tmp_path / "out.csv").exists()
 
 
+def _norm_column(path):
+    return [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("text, large, unit, scale", (
+    ("operator.n = 10\n", "kernel.B = 1e200\n", "kernel.B = 1\n", 1e200),
+    ("operator.n = 10\nrun.gamma = 0.25\n", "kernel.B = 1e300\n", "kernel.B = 1\n", 1e300),
+    ("operator.n = 50\n", "run.u0 = huge.txt\n", "run.u0 = one.txt\n", 1e300),
+    ("operator.n = 50\nrun.gamma = 0.5\n", "run.u0 = huge.txt\n", "run.u0 = one.txt\n", 1e300),
+    ("operator.n = 50\nrun.gamma = 0.25\n", "run.u0 = huge.txt\n", "run.u0 = one.txt\n",
+     1e300),
+), ids=("kernel-B-1e200", "kernel-B-1e300-quarter", "u0-1e300-0", "u0-1e300-0.5",
+        "u0-1e300-0.25"))
+def test_large_finite_states_are_normed(tmp_path, capsys, monkeypatch, text, large, unit,
+                                        scale):
+    """States of 1e200 and up whose squares overflow are finite, and so are their norms:
+    the run exits 0 with the verdict of the unscaled run and each norm within 1e-12 of
+    the scale times the unscaled one.  These norms once read inf or nan (exit 3)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.txt").write_text("1e300\n" * 50)
+    (tmp_path / "one.txt").write_text("1\n" * 50)
+    text = "run.t_count = 3\n" + text
+    assert _run_config(tmp_path, text + unit + "output.csv = one.csv\n") == 0
+    want = capsys.readouterr().out.replace("one.csv", "out.csv")
+    assert _run_config(tmp_path, text + large) == 0
+    assert capsys.readouterr().out == want
+    got, ref = _norm_column(tmp_path / "out.csv"), _norm_column(tmp_path / "one.csv")
+    assert got == pytest.approx([scale * x for x in ref], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("gamma", ("0", "0.5", "0.25"))
 def test_overflowing_initial_state_exits_3(tmp_path, capsys, monkeypatch, gamma):
-    """A run.u0 of 1e300 at every node overflows the states: exit 3 naming run.u0, where
-    the solve gate once read inf / inf as "backward error nan"; nothing is written."""
+    """A run.u0 of 1e300 at every node under kernel.B = 1e10 overflows the states: exit 3
+    naming run.u0, where the solve gate once read inf / inf as "backward error nan";
+    nothing is written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "huge.txt").write_text("1e300\n" * 50)
     assert _run_config(tmp_path, "operator.n = 50\nrun.t_count = 3\nrun.gamma = %s\n"
-                       "run.u0 = huge.txt\n" % gamma) == 3
+                       "run.u0 = huge.txt\nkernel.B = 1e10\n" % gamma) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical error: the norm at t = 0.001 is ")
     assert "run.u0 'huge.txt'" in captured.err and "backward error" not in captured.err

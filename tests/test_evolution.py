@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -316,19 +317,21 @@ def test_mild_homogeneous_equals_family():
 
 def test_mild_window_shares_one_contour():
     """Times 0.5 and 1 form one window: its states are the inversions on the
-    contour sized for [0.5, 1], and within tol of each time's own rule."""
+    contour sized for [0.5, 1], and within tol of each time's own rule, for
+    the abc and the w kernel."""
     op = make_diagonal([0.5, 2.0])
     u0 = np.array([1.0, -1.0])
-    cfg = cfg_with(times=(0.5, 1.0), u0=u0)
-    assert time_windows(cfg.contour, cfg.times, cfg.tol) == [slice(0, 2)]
-    res = mild_solution(op, cfg)
-    quad = build_quadrature(cfg.contour, cfg.times, cfg.tol)
-    lam = np.array([0.5, 2.0])
-    for i, t in enumerate(cfg.times):
-        modes = scalar_mode_values(quad, cfg.kernel, lam, float(t))
-        assert np.allclose(res.states[i], modes * u0, rtol=1e-13, atol=0.0)
-        own = resolvent_apply(op, cfg, float(t), u0)
-        assert np.max(np.abs(res.states[i] - own) / np.abs(own)) <= cfg.tol
+    for kernel in (ABC_HALF, W_HALF):
+        cfg = cfg_with(kernel=kernel, times=(0.5, 1.0), u0=u0)
+        assert time_windows(cfg.contour, cfg.times, cfg.tol) == [slice(0, 2)]
+        res = mild_solution(op, cfg)
+        quad = build_quadrature(cfg.contour, cfg.times, cfg.tol)
+        lam = np.array([0.5, 2.0])
+        for i, t in enumerate(cfg.times):
+            modes = scalar_mode_values(quad, cfg.kernel, lam, float(t))
+            assert np.allclose(res.states[i], modes * u0, rtol=1e-13, atol=0.0)
+            own = resolvent_apply(op, cfg, float(t), u0)
+            assert np.max(np.abs(res.states[i] - own) / np.abs(own)) <= cfg.tol
 
 
 def _per_node_inversion(op, cfg, times, rows):
@@ -360,7 +363,7 @@ def test_inverse_apply_is_the_sum_over_nodes(monkeypatch, op, kernel, chunked, d
     """The matrix products of a window equal the per-node sum, for a window of
     four unforced times: in one chunk, and with the chunk budget cut to the
     8-row floor, so that the window's nodes split into at least 3 chunks.  The
-    distinct cases give _node_solves a right-hand side of each node's own, complex
+    distinct cases give _invert a right-hand side of each node's own, complex
     rows and real ones mixed, as a forced time's lag 0 and later lags do."""
     rng = np.random.default_rng(23)
     u0 = rng.standard_normal(op.n)
@@ -374,8 +377,8 @@ def test_inverse_apply_is_the_sum_over_nodes(monkeypatch, op, kernel, chunked, d
         m, s = quad.nodes.size, quad.nodes
         rows = [*rng.standard_normal((m, op.n))]
         rows[::2] = [b + 1j * rng.standard_normal(op.n) for b in rows[::2]]
-        factor = quad.weights * np.exp(s * cfg.times[:, None]) * eval_kernel(kernel, s)
-        got = fracresolvent.evolution._node_solves(op, redirect(s, kernel.alpha), factor, rows)
+        wexp = quad.weights * np.exp(s * cfg.times[:, None])
+        got = fracresolvent.evolution._invert(partial(resolve, op), op.n, kernel, s, wexp, rows)
     else:
         rows = [u0] * quad.nodes.size
         got = _inverse_apply(op, cfg, cfg.times, u0)
@@ -416,28 +419,28 @@ def test_window_solves_are_not_stacked():
 
 
 def test_window_rows_are_summed_in_place():
-    """_node_solves on a 33-time window on a 20,000-node mesh traces a peak below its
-    (33, n) rows, its 8-row chunk buffer and one solve's temporaries, give or take 16 KiB
-    of interpreter objects: each chunk is added into the rows in place.  Forming each
-    chunk's product as a (33, n) complex array took 10.6 MB more."""
+    """_invert on a 33-time window on a 20,000-node mesh traces a peak below its
+    (33, n) rows, its 8-row chunk buffer, its (33, M) factors and one solve's temporaries,
+    give or take 16 KiB of interpreter objects: each chunk is added into the rows in
+    place.  Forming each chunk's product as a (33, n) complex array took 10.6 MB more."""
     op = assemble_kimura(20_000)
     u0 = np.sin(np.pi * np.arange(1, op.n + 1) / (op.n + 1))
     times = np.logspace(-2.0, 1.0, 33)
     quad = build_quadrature(BASE_SPEC, times, 1e-8)
-    factor = quad.weights * np.exp(quad.nodes * times[:, None]) * eval_kernel(ABC_HALF,
-                                                                              quad.nodes)
-    z, rows = redirect(quad.nodes, ABC_HALF.alpha), [u0] * quad.nodes.size
-    resolve(op, -z[0], u0)  # any first-call allocation is made before tracing
+    s, rows = quad.nodes, [u0] * quad.nodes.size
+    wexp = quad.weights * np.exp(s * times[:, None])
+    z = redirect(s[0], ABC_HALF.alpha)
+    resolve(op, -z, u0)  # any first-call allocation is made before tracing
     tracemalloc.start()
     try:
-        resolve(op, -z[0], u0)
+        resolve(op, -z, u0)
         solve = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        fracresolvent.evolution._node_solves(op, z, factor, rows)
+        fracresolvent.evolution._invert(partial(resolve, op), op.n, ABC_HALF, s, wexp, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < times.size * op.n * 8 + 8 * op.n * 16 + solve + 2**14
+    assert peak < times.size * op.n * 8 + 8 * op.n * 16 + wexp.nbytes + solve + 2**14
 
 
 def _exact_energy(op, u) -> Fraction:
@@ -500,6 +503,19 @@ def test_mild_norms_equal_the_norm_of_each_state(kimura_4000, gamma):
             assert Fraction(got) ** 2 == pytest.approx(_exact_energy(op, u), rel=1e-12, abs=0)
         else:
             assert got == pytest.approx(_norm_of_one_state(op, gamma, u), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.25, 0.5))
+def test_mild_norms_of_large_finite_states(gamma):
+    """States near 1e201 are finite, and so are their norms: with the kernel amplitude
+    B = 1e200 each norm is within 1e-12 of 1e200 times the B = 1 norm, where the squares
+    overflowed to inf at gamma = 0, to nan at gamma = 1/2 and warned at gamma = 1/4."""
+    op = assemble_kimura(50)
+    u0 = np.sin(np.pi * np.arange(1, 51) / 51.0)
+    norms = [mild_solution(op, cfg_with(kernel=KernelParams(kind="abc", alpha=0.5, b=b),
+                                        times=(1e-3, 0.1, 1.0), u0=u0, gamma=gamma))
+             .smoothed_norms for b in (1.0, 1e200)]
+    assert np.all(np.abs(norms[1] / (1e200 * norms[0]) - 1.0) <= 1e-12)
 
 
 def test_mild_constant_forcing_oracle():
@@ -656,21 +672,21 @@ def test_forced_run_builds_one_rule(monkeypatch):
 
 
 def test_forced_time_is_one_solve_pass(monkeypatch):
-    """A forced call makes one _node_solves call per output time, over all of its
+    """A forced call makes one _invert call per output time, over all of its
     (lag, node) pairs.  Lag 0's rows u0 + f(0)/s + sigma_0/s^2 are complex; every
     later lag solves its real slope-jump row and carries 1/s^2 in its factor."""
-    node_solves, resolve_ = fracresolvent.evolution._node_solves, fracresolvent.evolution.resolve
+    invert, resolve_ = fracresolvent.evolution._invert, fracresolvent.evolution.resolve
     sizes, real = [], []
 
-    def counted_node_solves(op, z, factor, b):
-        sizes.append(z.size)
-        return node_solves(op, z, factor, b)
+    def counted_invert(solve, n, kernel, s, wexp, b, squared=None):
+        sizes.append(s.size)
+        return invert(solve, n, kernel, s, wexp, b, squared)
 
     def recorded_resolve(op, z, b):
         real.append(not np.iscomplexobj(b))
         return resolve_(op, z, b)
 
-    monkeypatch.setattr(fracresolvent.evolution, "_node_solves", counted_node_solves)
+    monkeypatch.setattr(fracresolvent.evolution, "_invert", counted_invert)
     monkeypatch.setattr(fracresolvent.evolution, "resolve", recorded_resolve)
     x = np.linspace(0.0, 1.0, 20)
     cfg = cfg_with(times=(0.1, 1.0), u0=np.sin(np.pi * x),
